@@ -72,7 +72,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--k", type=int, default=4)
         p.add_argument("--strict", action="store_true",
                        help="exit 1 when the answer is negative")
-        p.add_argument("--workers", type=int, default=1)
         return p
 
     g = add("generate", "emit a family member", path_arg=False)
@@ -88,6 +87,7 @@ def _build_parser() -> _Parser:
     c = add("census", "search + classify a whole corpus", path_arg=False)
     c.add_argument("--max-n", type=int, dest="max_n",
                    help="use the built-in enumerator up to this order")
+    c.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -104,7 +104,7 @@ def _config(args) -> RunConfig:
         oriented=getattr(args, "oriented", False),
         k=args.k,
         max_n=getattr(args, "max_n", None),
-        workers=args.workers,
+        workers=getattr(args, "workers", 1),
         strict=args.strict,
     )
 
@@ -242,6 +242,8 @@ def _cmd_search(cfg: RunConfig) -> int:
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
+    if cfg.k != 4:
+        raise _UsageError("classify matches 4-regular graphs only; --k must be 4")
     g = _single_graph(_require_input(cfg))
     result = classify(g)
     report = _graph_report(g, 4)

@@ -1,11 +1,19 @@
-"""Exhaustive optimum-orientation search and the small-order census.
+"""Optimum-orientation search by GF(2) elimination, and the small-order census.
 
-Orientations are enumerated one per switching class: flipping all arcs at a
-vertex set conjugates the skew matrix by a diagonal sign matrix, which
-preserves the Gram, so only a spanning tree's worth of arc choices can be
-fixed and the remaining 2^(m-n+1) assignments cover every class. The census
-pairs that search with the family classifier and flags any graph where the
-two disagree.
+Switching at a vertex set conjugates the skew matrix by a diagonal sign
+matrix and preserves the Gram, so the arcs of a breadth-first spanning tree
+are fixed and each of the 2^(m-n+1) assignments of the remaining edges names
+one switching class. With edge signs written (-1)**bit, every off-diagonal
+Gram entry (u, v) is a sum of +-1 terms, one per common neighbour, each the
+parity of two direction bits plus a constant. The parity filter rejects odd
+term counts first; an entry with 2c terms vanishes exactly when they split c
+and c, so their parity is one linear equation over GF(2), and for c >= 2 the
+split is also counted. Elimination over Python-int
+bitsets solves the equations; a descent over the remaining free bits,
+highest first, checks the counts and returns the smallest assignment, the
+same witness as trying the assignments in increasing order. The census pairs
+that search with the family classifier and flags any graph where the two
+disagree.
 """
 
 from __future__ import annotations
@@ -70,30 +78,130 @@ def switching_classes(g: Graph):
         yield OrientedGraph(g, SwitchingClassIndex(tree_arcs, free, assignment).arcs())
 
 
-def _pair_terms(g: Graph, edge_index):
-    # (S^T S)[u,v] = sum over common neighbors w of x_e1 * x_e2 * d,
-    # where x_e is +1 when edge e is oriented small->large and d fixes
-    # the two skew-entry signs relative to that convention
-    pairs = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            terms = []
-            for w in g.common_neighbors(u, v):
-                e1 = edge_index[(min(w, u), max(w, u))]
-                e2 = edge_index[(min(w, v), max(w, v))]
-                d = (1 if w < u else -1) * (1 if w < v else -1)
-                terms.append((e1, e2, d))
-            if terms:
-                pairs.append(tuple(terms))
-    return pairs
+def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
+    """Smallest assignment of the free edges that makes every off-diagonal
+    Gram entry vanish, or None."""
+    # A form is an int over the free edges' direction bits (bit i is free
+    # edge i) plus a constant bit `one`; its value is the parity of the bits
+    # it selects from the assignment with `one` set.
+    f = len(free)
+    one = 1 << f
+    variables = one - 1
+    # direction bit of each edge: 1 when its arc runs from the larger
+    # endpoint to the smaller, so that the edge's sign is (-1)**bit
+    direction = {e: 1 << i for i, e in enumerate(free)}
+    for p, c in tree_arcs:
+        direction[(min(p, c), max(p, c))] = one if p > c else 0
+
+    # (S^T S)[u, v] sums S[w, u] * S[w, v] over the common neighbours w;
+    # each product is (-1)**(value of the term's form)
+    terms: dict[tuple[int, int], list[int]] = {}
+    for w in range(g.n):
+        around = sorted(g.neighbors(w))
+        for i, u in enumerate(around):
+            for v in around[i + 1:]:
+                t = direction[(min(w, u), max(w, u))] ^ direction[(min(w, v), max(w, v))]
+                terms.setdefault((u, v), []).append(t ^ (one if (w < u) != (w < v) else 0))
+
+    # echelon basis keyed by each row's lowest variable bit (its pivot);
+    # a row holds no other bits below its pivot
+    basis: dict[int, int] = {}
+
+    def reduce(t: int) -> int:
+        rest = t & variables
+        while rest:
+            low = rest & -rest
+            row = basis.get(low)
+            if row is not None:
+                t ^= row
+            rest = t & variables & -(low << 1)
+        return t
+
+    # A zero entry needs its 2c terms split c positive, c negative. Their
+    # parity is a linear equation; the split itself (c >= 2) is counted
+    # during the descent.
+    counted = []
+    for pair_terms in terms.values():
+        c = len(pair_terms) // 2
+        eq = one if c % 2 else 0
+        for t in pair_terms:
+            eq ^= t
+        eq = reduce(eq)
+        if eq == one:
+            return None
+        if eq:
+            basis[eq & -eq] = eq
+        if c >= 2:
+            counted.append((c, pair_terms))
+
+    # The non-pivot bits fix a solution of the linear system, and the
+    # highest bit where two solutions differ is a non-pivot bit. So the
+    # first leaf of a descent over them, highest bit first and 0 before 1,
+    # is the smallest assignment.
+    order = [1 << i for i in reversed(range(f)) if (1 << i) not in basis]
+    depth_of = {bit: d for d, bit in enumerate(order)}
+    # settled[d + 1] holds the terms whose value is known once order[d] is
+    # set (settled[0] the constant ones); left[2j + value] is how many more
+    # terms of counted pair j may take that value
+    settled: list[list[tuple[int, int]]] = [[] for _ in range(len(order) + 1)]
+    left = []
+    for j, (c, pair_terms) in enumerate(counted):
+        left += [c, c]
+        for t in pair_terms:
+            r = reduce(t)
+            low = r & -r & variables
+            settled[depth_of[low] + 1 if low else 0].append((2 * j, r))
+
+    def count(d: int, x: int, step: int) -> bool:
+        # step -1 takes the terms settled at d from their pairs' allowances,
+        # +1 gives them back; an overdrawn allowance is restored and fails
+        done = []
+        for slot, r in settled[d]:
+            slot += (r & x).bit_count() & 1
+            left[slot] += step
+            done.append(slot)
+            if left[slot] < 0:
+                for s in done:
+                    left[s] -= step
+                return False
+        return True
+
+    x = one
+    if not count(0, x, -1):
+        return None
+    tried = [0] * len(order)
+    depth = 0
+    while depth < len(order):
+        if tried[depth] < 2:
+            bit = order[depth]
+            x = x | bit if tried[depth] else x & ~bit
+            tried[depth] += 1
+            if count(depth + 1, x, -1):
+                depth += 1
+            continue
+        tried[depth] = 0
+        depth -= 1
+        if depth < 0:
+            return None
+        count(depth + 1, x, +1)
+
+    # each pivot follows from the higher bits of its row
+    for pivot in sorted(basis, reverse=True):
+        if (basis[pivot] & x).bit_count() & 1:
+            x |= pivot
+    return x & variables
 
 
 def find_optimum_orientation(g: Graph, k: int):
-    """First switching-class representative with Gram exactly k*I, or None.
+    """The switching-class representative with the smallest assignment whose
+    Gram is exactly k*I, or None.
 
-    Non-k-regular or disconnected inputs are argument errors; graphs failing
-    the common-neighborhood parity filter return None without enumeration.
+    Empty, non-k-regular or disconnected inputs are argument errors; graphs
+    failing the common-neighborhood parity filter return None without
+    elimination.
     """
+    if g.n == 0:
+        raise ValueError("input graph is empty")
     if not g.is_regular(k):
         raise ValueError(f"input must be {k}-regular")
     if not g.is_connected():
@@ -103,30 +211,13 @@ def find_optimum_orientation(g: Graph, k: int):
         return None
 
     tree_arcs, free = _switching_frame(g)
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    pairs = _pair_terms(g, edge_index)
-    x = [0] * len(g.edges)
-    for p, c in tree_arcs:
-        x[edge_index[(min(p, c), max(p, c))]] = 1 if p < c else -1
-    free_slots = [edge_index[e] for e in free]
-
-    for assignment in range(1 << len(free)):
-        for i, slot in enumerate(free_slots):
-            x[slot] = -1 if (assignment >> i) & 1 else 1
-        ok = True
-        for terms in pairs:
-            total = 0
-            for e1, e2, d in terms:
-                total += x[e1] * x[e2] * d
-            if total:
-                ok = False
-                break
-        if ok:
-            og = OrientedGraph(g, SwitchingClassIndex(tree_arcs, free, assignment).arcs())
-            if not is_optimum(og, k):
-                raise RuntimeError("fast pair check disagrees with the Gram matrix")
-            return og
-    return None
+    assignment = _least_assignment(g, tree_arcs, free)
+    if assignment is None:
+        return None
+    og = OrientedGraph(g, SwitchingClassIndex(tree_arcs, free, assignment).arcs())
+    if not is_optimum(og, k):
+        raise RuntimeError("GF(2) elimination disagrees with the Gram matrix")
+    return og
 
 
 def _invariant_key(g: Graph):
@@ -271,7 +362,9 @@ def census(inputs, k: int, *, workers: int = 1) -> CensusReport:
     jobs = []
     skipped = []
     for g in inputs:
-        if not g.is_regular(k):
+        if g.n == 0:
+            skipped.append((emit_graph6(g).decode("ascii"), "empty graph"))
+        elif not g.is_regular(k):
             skipped.append((emit_graph6(g).decode("ascii"), f"not {k}-regular"))
         elif not g.is_connected():
             skipped.append((emit_graph6(g).decode("ascii"), "not connected"))

@@ -161,6 +161,24 @@ def test_flag_validation(tmp_path):
     assert run(["frobnicate"]) == 3
 
 
+def test_flags_that_do_nothing_are_rejected(tmp_path, capsysbinary):
+    g2_path = write_graph6(tmp_path, "g2.g6", build_family(G2))
+    assert run(["classify", g2_path, "--k", "5"]) == 3
+    assert run(["generate", "--family", "g2", "--workers", "7"]) == 3
+    for sub in ("search", "classify", "verify", "energy"):
+        assert run([sub, g2_path, "--workers", "2"]) == 3
+    assert capsysbinary.readouterr().out == b""
+    code, report, _ = run_json(["classify", g2_path, "--k", "4"], capsysbinary)
+    assert code == 0 and report["classification"] == "g2"
+
+
+def test_search_empty_graph_exits_three(tmp_path, capsysbinary):
+    empty = tmp_path / "empty.g6"
+    empty.write_bytes(b"?\n")
+    assert run(["search", str(empty)]) == 3
+    assert capsysbinary.readouterr().out == b""
+
+
 def test_io_error_codes(tmp_path):
     assert run(["classify", str(tmp_path / "missing.g6")]) == 2
     bad = tmp_path / "bad.g6"

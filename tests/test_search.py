@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from oracles import brute_force_has_optimum, connected_regular_class_count
 from skewopt import (
     C4, G2, K4, Graph, OrientedGraph, SwitchingClassIndex, build_family,
-    census, find_optimum_orientation, gi, hj, is_optimum, isomorphic,
+    census, emit_graph6, find_optimum_orientation, gi, hj, is_optimum, isomorphic,
     neighbor_parity_report, orient_family, parse_graph6, switching_classes,
 )
-from skewopt.search import ENUMERATION_ORDER_CAP, enumerate_connected_k_regular
+from skewopt.search import (
+    ENUMERATION_ORDER_CAP, _switching_frame, enumerate_connected_k_regular,
+)
 
 
 def complete_graph(n: int) -> Graph:
@@ -36,6 +40,29 @@ def all_orientations(g: Graph):
             [(u, v) if not (mask >> i) & 1 else (v, u)
              for i, (u, v) in enumerate(g.edges)],
         )
+
+
+def first_optimum_class(g: Graph, k: int):
+    """Arcs of the first class of switching_classes(g) whose Gram is k*I,
+    with the Grams of the same assignments taken in numpy batches."""
+    tree_arcs, free = _switching_frame(g)
+    n, f = g.n, len(free)
+    base = np.zeros((n, n))
+    for t, h in tree_arcs:
+        base[t, h], base[h, t] = 1, -1
+    units = np.zeros((f, n, n))
+    for i, (a, b) in enumerate(free):
+        units[i, a, b], units[i, b, a] = 1, -1
+    for start in range(0, 1 << f, 4096):
+        assignments = np.arange(start, min(start + 4096, 1 << f))
+        signs = 1 - 2 * ((assignments[:, None] >> np.arange(f)) & 1)
+        s = base + np.tensordot(signs, units, axes=1)
+        optimum = (s.transpose(0, 2, 1) @ s == k * np.eye(n)).all(axis=(1, 2))
+        hits = np.flatnonzero(optimum)
+        if hits.size:
+            index = SwitchingClassIndex(tree_arcs, free, int(assignments[hits[0]]))
+            return tuple(sorted(index.arcs()))
+    return None
 
 
 def switch_equivalent(a: OrientedGraph, b: OrientedGraph) -> bool:
@@ -89,6 +116,8 @@ def test_find_optimum_negative_cases():
         find_optimum_orientation(Graph(3, [(0, 1), (1, 2)]), 2)
     with pytest.raises(ValueError):
         find_optimum_orientation(two_cliques(5), 4)
+    with pytest.raises(ValueError, match="empty"):
+        find_optimum_orientation(Graph(0, []), 4)
 
 
 def test_find_optimum_exhausts_past_parity_filter():
@@ -111,6 +140,52 @@ def test_search_agrees_with_exhaustive_orientation_scan():
         assert (found is not None) == brute_force_has_optimum(g, k)
         if found is not None:
             assert is_optimum(found, k)
+
+
+def test_witness_is_first_optimum_class():
+    # the elimination must return the very class the assignment order puts
+    # first, which fixes the witnesses and the census JSON bytes
+    cases = [(g, k) for k, top in ((2, 9), (3, 10), (4, 9))
+             for n in range(1, top + 1)
+             for g in enumerate_connected_k_regular(n, k)]
+    cases += [(complete_graph(6), 5),
+              (Graph(8, [(i, j) for i in range(4) for j in range(4, 8)]), 4)]
+    cases += [(build_family(lb), 4)
+              for lb in (gi(1), gi(2), gi(3), hj(1), hj(2), hj(3))]
+    optima = 0
+    for g, k in cases:
+        expected = first_optimum_class(g, k)
+        if len(_switching_frame(g)[1]) <= 10:
+            direct = next((og.arcs for og in switching_classes(g)
+                           if is_optimum(og, k)), None)
+            assert direct == expected
+        found = find_optimum_orientation(g, k)
+        assert (None if found is None else found.arcs) == expected, emit_graph6(g)
+        optima += expected is not None
+    assert optima == 13
+
+
+def test_search_scales_polynomially():
+    start = time.perf_counter()
+    for i in (5, 10, 20, 40):
+        for label in (gi(i), hj(i)):
+            found = find_optimum_orientation(build_family(label), 4)
+            assert found is not None and is_optimum(found, 4), label
+    assert time.perf_counter() - start < 3.0
+
+
+def test_search_survives_relabeling_and_switching():
+    rng = random.Random(6)
+    for label in (gi(6), hj(6)):
+        og = orient_family(label)
+        n = og.base.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = og.relabel(perm).switch([v for v in range(n) if rng.random() < 0.5])
+        assert is_optimum(moved, 4)
+        found = find_optimum_orientation(moved.base, 4)
+        assert found is not None and found.base == moved.base
+        assert is_optimum(found, 4)
 
 
 def test_enumeration_counts():
@@ -183,11 +258,11 @@ def test_census_small_degrees():
 
 
 def test_census_skips_bad_inputs():
-    inputs = [complete_graph(4), two_cliques(5), complete_graph(5)]
+    inputs = [complete_graph(4), two_cliques(5), Graph(0, []), complete_graph(5)]
     report = census(inputs, 4)
     assert len(report.records) == 1
     reasons = [reason for _, reason in report.skipped]
-    assert reasons == ["not 4-regular", "not connected"]
+    assert reasons == ["not 4-regular", "not connected", "empty graph"]
 
 
 def test_census_workers_validation_and_determinism():
