@@ -62,19 +62,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="skewopt", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # each subcommand takes only the flags it reads, so a misplaced flag is a
+    # usage error rather than silently ignored
     def add(name, help_text, *, path_arg=True):
         p = sub.add_parser(name, help=help_text)
         if path_arg:
             p.add_argument("path", nargs="?", help="input file (or use --input)")
         p.add_argument("--input", help="input file")
         p.add_argument("--output", help="write result here instead of stdout")
-        p.add_argument("--format", choices=("graph6", "arcs", "json"), dest="fmt")
         p.add_argument("--k", type=int, default=4)
         p.add_argument("--strict", action="store_true",
                        help="exit 1 when the answer is negative")
         return p
 
-    g = add("generate", "emit a family member", path_arg=False)
+    g = sub.add_parser("generate", help="emit a family member")
+    g.add_argument("--output", help="write result here instead of stdout")
+    g.add_argument("--format", choices=("graph6", "arcs", "json"), dest="fmt")
     g.add_argument("--family", required=True, help="label such as g2 or gi(3)")
     g.add_argument("--oriented", action="store_true",
                    help="emit the canonical optimum orientation")
@@ -93,19 +96,20 @@ def _build_parser() -> _Parser:
 
 def _config(args) -> RunConfig:
     path = getattr(args, "path", None)
-    if path is not None and args.input is not None:
+    given = getattr(args, "input", None)
+    if path is not None and given is not None:
         raise _UsageError("give the input either positionally or via --input")
     return RunConfig(
         subcommand=args.subcommand,
-        input_path=path if path is not None else args.input,
+        input_path=path if path is not None else given,
         output_path=args.output,
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", None),
         family=getattr(args, "family", None),
         oriented=getattr(args, "oriented", False),
-        k=args.k,
+        k=getattr(args, "k", 4),
         max_n=getattr(args, "max_n", None),
         workers=getattr(args, "workers", 1),
-        strict=args.strict,
+        strict=getattr(args, "strict", False),
     )
 
 

@@ -8,12 +8,11 @@ Gram entry (u, v) is a sum of +-1 terms, one per common neighbour, each the
 parity of two direction bits plus a constant. The parity filter rejects odd
 term counts first; an entry with 2c terms vanishes exactly when they split c
 and c, so their parity is one linear equation over GF(2), and for c >= 2 the
-split is also counted. Elimination over Python-int
-bitsets solves the equations; a descent over the remaining free bits,
-highest first, checks the counts and returns the smallest assignment, the
-same witness as trying the assignments in increasing order. The census pairs
-that search with the family classifier and flags any graph where the two
-disagree.
+split is also counted. Elimination over Python-int bitsets solves the
+equations; a descent over the remaining free bits, highest first, checks the
+counts and returns the smallest assignment, the same witness as trying the
+assignments in increasing order. The census pairs that search with the
+family classifier and flags any graph where the two disagree.
 """
 
 from __future__ import annotations
@@ -80,7 +79,8 @@ def switching_classes(g: Graph):
 
 def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
     """Smallest assignment of the free edges that makes every off-diagonal
-    Gram entry vanish, or None."""
+    Gram entry vanish, or None. Every vertex pair must have an even number
+    of common neighbours, as the parity filter checks."""
     # A form is an int over the free edges' direction bits (bit i is free
     # edge i) plus a constant bit `one`; its value is the parity of the bits
     # it selects from the assignment with `one` set.

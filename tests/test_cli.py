@@ -167,6 +167,10 @@ def test_flags_that_do_nothing_are_rejected(tmp_path, capsysbinary):
     assert run(["generate", "--family", "g2", "--workers", "7"]) == 3
     for sub in ("search", "classify", "verify", "energy"):
         assert run([sub, g2_path, "--workers", "2"]) == 3
+        assert run([sub, g2_path, "--format", "json"]) == 3
+    assert run(["census", "--max-n", "5", "--format", "arcs"]) == 3
+    for flag in (["--k", "7"], ["--strict"], ["--input", g2_path]):
+        assert run(["generate", "--family", "g2", *flag]) == 3
     assert capsysbinary.readouterr().out == b""
     code, report, _ = run_json(["classify", g2_path, "--k", "4"], capsysbinary)
     assert code == 0 and report["classification"] == "g2"

@@ -122,7 +122,7 @@ def test_find_optimum_negative_cases():
 
 def test_find_optimum_exhausts_past_parity_filter():
     # all-pairs parity holds for K6, yet no orientation attains Gram 5I,
-    # so the search must fall through the full class enumeration
+    # so the search must reject it after the parity filter
     k6 = complete_graph(6)
     assert neighbor_parity_report(k6, "general-even").passed
     assert find_optimum_orientation(k6, 5) is None
