@@ -4,10 +4,7 @@ classification of the 4-regular case."""
 
 from __future__ import annotations
 
-from .classify import (
-    Classification, ConsistencyRecord, candidate_members, classify,
-    isomorphic, theorem_crosscheck,
-)
+from .classify import Classification, candidate_members, classify, isomorphic
 from .families import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, BlockSet, FamilyLabel, block_skew_matrix,
     build_family, canonical_blocks, check_block_identities,
@@ -23,8 +20,9 @@ from .matrices import (
     skew_adjacency, skew_energy, symmetric_eigenvalues,
 )
 from .search import (
-    CensusRecord, CensusReport, SwitchingClassIndex, census,
+    CensusRecord, CensusReport, ConsistencyRecord, SwitchingClassIndex, census,
     enumerate_connected_k_regular, find_optimum_orientation, switching_classes,
+    theorem_crosscheck,
 )
 from .verify import (
     NeighborhoodReport, SignedWalkCount, neighbor_parity_report,

@@ -1,8 +1,10 @@
-"""Membership decision for the family of optimum-orientable 4-regular graphs.
+"""Membership decision for the family of optimum-orientable k-regular graphs,
+k = 1..4.
 
 A connected 4-regular graph admits an optimum orientation exactly when it is
 isomorphic to one of the known members, so classification reduces to
-isomorphism tests against the candidates whose order matches.
+isomorphism tests against the candidates whose order matches.  For k <= 3
+the members are K2, C4, K4 and Q3; there is no catalogue for k >= 5.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import (
-    G1, G2, G3, Q4, FamilyLabel, build_family, gi, hj,
+    C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, build_family, family_order,
+    gi, hj,
 )
 from .graphs import Graph
 
@@ -26,19 +29,6 @@ class Classification:
     @property
     def in_family(self) -> bool:
         return self.label is not None
-
-
-@dataclass(frozen=True)
-class ConsistencyRecord:
-    """Joint outcome of classification and exhaustive orientation search."""
-
-    label: FamilyLabel | None
-    optimum_found: bool
-    witness: tuple | None
-
-    @property
-    def consistent(self) -> bool:
-        return (self.label is not None) == self.optimum_found
 
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
@@ -97,8 +87,15 @@ def isomorphic(g: Graph, h: Graph):
     return None
 
 
-def candidate_members(n: int) -> list[FamilyLabel]:
-    """All family labels whose member has exactly n vertices."""
+_SMALL_DEGREE_MEMBERS = {1: (K2,), 2: (C4,), 3: (K4, Q3)}
+
+
+def candidate_members(n: int, k: int = 4) -> list[FamilyLabel]:
+    """All k-regular family labels whose member has exactly n vertices."""
+    if k in _SMALL_DEGREE_MEMBERS:
+        return [label for label in _SMALL_DEGREE_MEMBERS[k] if family_order(label) == n]
+    if k != 4:
+        raise ValueError(f"no catalogue of {k}-regular members")
     labels = []
     if n == 6:
         labels.append(G2)
@@ -115,28 +112,14 @@ def candidate_members(n: int) -> list[FamilyLabel]:
     return labels
 
 
-def classify(g: Graph) -> Classification:
-    """Match a connected 4-regular graph against the known members."""
-    if not g.is_regular(4):
-        raise ValueError("classification applies to 4-regular graphs")
+def classify(g: Graph, k: int = 4) -> Classification:
+    """Match a connected k-regular graph (k = 1..4) against the known members."""
+    if not g.is_regular(k):
+        raise ValueError(f"classification applies to {k}-regular graphs")
     if not g.is_connected():
         raise ValueError("classification applies to connected graphs")
-    for label in candidate_members(g.n):
+    for label in candidate_members(g.n, k):
         mapping = isomorphic(g, build_family(label))
         if mapping is not None:
             return Classification(label, mapping)
     return Classification(None, None)
-
-
-def theorem_crosscheck(g: Graph) -> ConsistencyRecord:
-    """Run classification and exhaustive search, reporting whether a graph is
-    optimum-orientable exactly when it is a family member."""
-    from .search import find_optimum_orientation
-
-    result = classify(g)
-    witness = find_optimum_orientation(g, 4)
-    return ConsistencyRecord(
-        result.label,
-        witness is not None,
-        None if witness is None else witness.arcs,
-    )

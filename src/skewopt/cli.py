@@ -15,9 +15,10 @@ import sys
 from dataclasses import dataclass
 
 from .classify import classify
-from .families import FamilyLabel, build_family, orient_family
+from .families import FamilyLabel, build_family, family_order, orient_family
 from .formats import (
-    FormatError, emit_arclist, emit_graph6, parse_arclist, parse_graph6_lines,
+    GRAPH6_ORDER_LIMIT, FormatError, emit_arclist, emit_graph6, parse_arclist,
+    parse_graph6_lines,
 )
 from .graphs import Graph, OrientedGraph
 from .matrices import is_optimum, skew_energy
@@ -183,10 +184,18 @@ def _classification_field(g: Graph) -> dict:
 def _cmd_generate(cfg: RunConfig) -> int:
     label = FamilyLabel.parse(cfg.family)
     fmt = cfg.fmt or ("arcs" if cfg.oriented else "graph6")
+    if cfg.oriented and fmt == "graph6":
+        raise _UsageError("graph6 cannot carry an orientation; use arcs or json")
+    if not cfg.oriented and fmt == "arcs":
+        raise _UsageError("arc-list output needs --oriented")
+    # checked before building, which takes seconds at this size
+    if fmt == "graph6" and family_order(label) >= GRAPH6_ORDER_LIMIT:
+        raise _UsageError(
+            f"{label} has {family_order(label)} vertices; graph6 orders "
+            f"stop below {GRAPH6_ORDER_LIMIT}"
+        )
     if cfg.oriented:
         og = orient_family(label)
-        if fmt == "graph6":
-            raise _UsageError("graph6 cannot carry an orientation; use arcs or json")
         if fmt == "arcs":
             _write(cfg, emit_arclist(og))
             return 0
@@ -197,8 +206,6 @@ def _cmd_generate(cfg: RunConfig) -> int:
         _write(cfg, _json_bytes(report))
         return 0
     g = build_family(label)
-    if fmt == "arcs":
-        raise _UsageError("arc-list output needs --oriented")
     if fmt == "graph6":
         _write(cfg, emit_graph6(g) + b"\n")
         return 0

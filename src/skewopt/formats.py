@@ -11,7 +11,7 @@ from __future__ import annotations
 from .graphs import Graph, OrientedGraph
 
 _G6_HEADER = ">>graph6<<"
-_G6_MAX_LONG = 1 << 18
+GRAPH6_ORDER_LIMIT = 1 << 18
 
 
 class FormatError(ValueError):
@@ -24,7 +24,18 @@ def _ascii(data) -> str:
             return bytes(data).decode("ascii")
         except UnicodeDecodeError as exc:
             raise FormatError(f"input is not ASCII: {exc}") from None
-    return str(data)
+    text = str(data)
+    if not text.isascii():
+        raise FormatError("input is not ASCII")
+    return text
+
+
+def _integer(field: str) -> int:
+    # int() would also take "+1", "1_0" and non-ASCII digits
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {field!r}")
+    return int(field)
 
 
 def parse_graph6(data) -> Graph:
@@ -41,7 +52,7 @@ def parse_graph6(data) -> Graph:
         if len(raw) < 4:
             raise FormatError("truncated graph6 order field")
         if raw[1] == 126:
-            raise FormatError(f"orders >= {_G6_MAX_LONG} are not supported")
+            raise FormatError(f"orders >= {GRAPH6_ORDER_LIMIT} are not supported")
         n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
         if n < 63:
             raise FormatError("non-canonical long order field")
@@ -72,8 +83,8 @@ def parse_graph6(data) -> Graph:
 def emit_graph6(g: Graph) -> bytes:
     """Canonical graph6 bytes, no header, no newline."""
     n = g.n
-    if n >= _G6_MAX_LONG:
-        raise FormatError(f"orders >= {_G6_MAX_LONG} are not supported")
+    if n >= GRAPH6_ORDER_LIMIT:
+        raise FormatError(f"orders >= {GRAPH6_ORDER_LIMIT} are not supported")
     if n < 63:
         head = bytes([n + 63])
     else:
@@ -117,7 +128,7 @@ def parse_arclist(data) -> OrientedGraph:
     if len(head) != 2:
         raise FormatError(f"header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _integer(head[0]), _integer(head[1])
     except ValueError:
         raise FormatError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
@@ -131,7 +142,7 @@ def parse_arclist(data) -> OrientedGraph:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'tail head', got {line!r}")
         try:
-            t, h = int(parts[0]), int(parts[1])
+            t, h = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer vertex") from None
         if t == h:

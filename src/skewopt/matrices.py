@@ -1,9 +1,10 @@
-"""Exact integer matrix algebra for skew-adjacency matrices, plus a cyclic
-Jacobi eigensolver for the symmetric Gram spectra.
+"""Exact integer matrix algebra for skew-adjacency matrices, plus the
+spectral figures computed by LAPACK.
 
 Matrices are numpy int64 arrays; every structural predicate is decided in
 exact integer arithmetic.  Floats appear only in eigenvalue and energy
-reporting.
+reporting: the energy and the Gram spectrum come from one SVD of S, and
+symmetric spectra from eigvalsh.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import OrientedGraph
-
-JACOBI_TOLERANCE = 1e-12
-JACOBI_MAX_SWEEPS = 100
-GRAM_CLAMP = 1e-10
 
 
 def int_matrix(rows) -> np.ndarray:
@@ -74,90 +71,31 @@ def is_optimum(og: OrientedGraph, k: int) -> bool:
     return bool(np.array_equal(gram(s), k * np.eye(og.base.n, dtype=np.int64)))
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # summed from the off-diagonal entries themselves; subtracting the
-    # diagonal mass from the total cancels catastrophically near convergence
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def symmetric_eigenvalues(matrix) -> list[float]:
-    """All eigenvalues of a symmetric matrix, nonincreasing.
-
-    Cyclic Jacobi rotations; converged when the off-diagonal Frobenius norm
-    drops below JACOBI_TOLERANCE times the Frobenius norm of the input.
-    A matrix that fails to converge within JACOBI_MAX_SWEEPS sweeps raises
-    RuntimeError (does not happen for symmetric input; the cap is a guard).
-    """
+    """All eigenvalues of a symmetric matrix, nonincreasing (LAPACK eigvalsh)."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eigensolver needs a square matrix")
     if not np.array_equal(a, a.T):
         raise ValueError("eigensolver needs a symmetric matrix")
-    a = a.copy()
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return []
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return [0.0] * n
-    threshold = JACOBI_TOLERANCE * norm
-
-    sweeps = 0
-    while _off_diagonal_norm(a) >= threshold:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise RuntimeError(
-                f"Jacobi sweep cap {JACOBI_MAX_SWEEPS} exceeded (off-diagonal "
-                f"norm {_off_diagonal_norm(a):.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                # the rotation annihilates (p, q) by construction
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-    return sorted((float(x) for x in np.diag(a)), reverse=True)
+    return sorted((float(x) for x in np.linalg.eigvalsh(a)), reverse=True)
 
 
 def gram_eigenvalues(og: OrientedGraph) -> list[float]:
-    """Eigenvalues of S^T S, nonincreasing, tiny negatives clamped to zero."""
-    eigs = symmetric_eigenvalues(gram(skew_adjacency(og)))
-    out = []
-    for mu in eigs:
-        if mu < -GRAM_CLAMP:
-            raise RuntimeError(f"Gram eigenvalue {mu} below PSD clamp")
-        out.append(0.0 if mu < 0.0 else mu)
-    return out
+    """Eigenvalues of S^T S, nonincreasing: the squared singular values of S."""
+    return list(skew_energy(og).gram_eigenvalues)
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
     """Gram spectrum of an orientation plus the derived energy figures.
 
-    The eigenvalues of the skew-adjacency matrix S are +-i*sqrt(mu) for the
-    eigenvalues mu of S^T S, so the energy (sum of absolute values of the
-    eigenvalues of S) equals sum(sqrt(mu)).
+    S is real and skew-symmetric, hence normal, so its eigenvalues are
+    +-i*sigma for its singular values sigma, and the eigenvalues of S^T S are
+    sigma**2. The energy (sum of absolute values of the eigenvalues of S)
+    is therefore sum(sigma).
     """
 
     gram_eigenvalues: tuple[float, ...]
@@ -169,8 +107,8 @@ class SpectralSummary:
 
 
 def skew_energy(og: OrientedGraph) -> SpectralSummary:
-    """Energy summary; upper_bound is n*sqrt(max degree)."""
-    mus = gram_eigenvalues(og)
-    energy = float(sum(math.sqrt(mu) for mu in mus))
+    """Energy summary from one SVD of S; upper_bound is n*sqrt(max degree)."""
+    # nonnegative and nonincreasing, as LAPACK returns them
+    sigma = np.linalg.svd(skew_adjacency(og), compute_uv=False).tolist()
     bound = og.base.n * math.sqrt(og.base.max_degree())
-    return SpectralSummary(tuple(mus), energy, bound)
+    return SpectralSummary(tuple(x * x for x in sigma), sum(sigma, 0.0), bound)

@@ -24,8 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .classify import Classification, _vertex_invariants, classify, isomorphic
-from .families import C4, K2, K4, Q3, build_family, family_order
+from .classify import _vertex_invariants, classify, isomorphic
+from .families import FamilyLabel
 from .formats import emit_graph6
 from .graphs import Graph, OrientedGraph
 from .matrices import is_optimum
@@ -322,35 +322,47 @@ class CensusReport:
         return tuple((n, c[0], c[1]) for n, c in sorted(counts.items()))
 
 
-_SMALL_DEGREE_MEMBERS = {1: (K2,), 2: (C4,), 3: (K4, Q3)}
+@dataclass(frozen=True)
+class ConsistencyRecord:
+    """Joint outcome of classification and orientation search. classified is
+    False for k >= 5, which has no catalogue to disagree with."""
+
+    label: FamilyLabel | None
+    optimum_found: bool
+    witness: tuple | None
+    classified: bool = True
+
+    @property
+    def consistent(self) -> bool:
+        return not self.classified or (self.label is not None) == self.optimum_found
 
 
-def _classification_for(g: Graph, k: int) -> Classification | None:
-    if k == 4:
-        return classify(g)
-    if k in _SMALL_DEGREE_MEMBERS:
-        for label in _SMALL_DEGREE_MEMBERS[k]:
-            if family_order(label) == g.n:
-                mapping = isomorphic(g, build_family(label))
-                if mapping is not None:
-                    return Classification(label, mapping)
-        return Classification(None, None)
-    return None
+def theorem_crosscheck(g: Graph, k: int = 4) -> ConsistencyRecord:
+    """Classify a connected k-regular graph against the catalogue and search
+    it for an optimum orientation by GF(2) elimination; the record is
+    consistent when the graph is optimum-orientable exactly when it is a
+    catalogue member."""
+    classified = k <= 4
+    label = classify(g, k).label if classified else None
+    witness = find_optimum_orientation(g, k)
+    return ConsistencyRecord(
+        label,
+        witness is not None,
+        None if witness is None else witness.arcs,
+        classified,
+    )
 
 
 def _census_worker(args) -> CensusRecord:
     g, k = args
-    witness = find_optimum_orientation(g, k)
-    cls = _classification_for(g, k)
-    label = None if cls is None or cls.label is None else str(cls.label)
-    violation = cls is not None and (witness is not None) != (label is not None)
+    record = theorem_crosscheck(g, k)
     return CensusRecord(
         graph6=emit_graph6(g).decode("ascii"),
         n=g.n,
-        has_optimum=witness is not None,
-        classification=label,
-        witness=None if witness is None else witness.arcs,
-        violation=violation,
+        has_optimum=record.optimum_found,
+        classification=None if record.label is None else str(record.label),
+        witness=record.witness,
+        violation=not record.consistent,
     )
 
 

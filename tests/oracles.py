@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against different algorithms than the
 package under test: exact rational characteristic polynomials with Sturm
-bisection instead of Jacobi rotations, direct enumeration of all 2^m
+bisection instead of LAPACK eigensolvers, direct enumeration of all 2^m
 orientations instead of switching classes, and labeled-graph backtracking with
 networkx isomorphism instead of orderly generation.
 """

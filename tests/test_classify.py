@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from skewopt import (
-    G1, G2, G3, Q3, Q4, FamilyLabel, Graph, build_family, candidate_members,
-    classify, gi, hj, isomorphic, theorem_crosscheck,
+    C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, Graph, build_family,
+    candidate_members, classify, gi, hj, isomorphic, theorem_crosscheck,
 )
 
 
@@ -68,6 +68,22 @@ def test_candidate_members_by_order():
         assert len(labels) == len(set(labels))
         for label in labels:
             assert build_family(label).n == n
+
+
+def test_small_degree_members_classify():
+    assert candidate_members(2, 1) == [K2]
+    assert candidate_members(4, 2) == [C4]
+    assert candidate_members(4, 3) == [K4]
+    assert candidate_members(8, 3) == [Q3]
+    assert candidate_members(6, 3) == []
+    rng = random.Random(37)
+    for label, k in ((K2, 1), (C4, 2), (K4, 3), (Q3, 3)):
+        assert classify(shuffled(build_family(label), rng), k).label == label
+    assert classify(Graph(5, [(i, (i + 1) % 5) for i in range(5)]), 2).label is None
+    with pytest.raises(ValueError):
+        candidate_members(8, 7)
+    with pytest.raises(ValueError):
+        classify(complete_graph(8), 7)
 
 
 def test_same_order_members_are_distinct():

@@ -98,6 +98,17 @@ def test_energy_report(tmp_path, capsysbinary):
     capsysbinary.readouterr()
 
 
+def test_energy_of_singular_star(tmp_path, capsysbinary):
+    # K_{1,9} oriented alternately; S is singular and the energy is 2*sqrt(9)
+    star = Graph(10, [(0, i) for i in range(1, 10)])
+    arcs = [(0, i) if i % 2 else (i, 0) for i in range(1, 10)]
+    path = tmp_path / "star.arcs"
+    path.write_bytes(emit_arclist(OrientedGraph(star, arcs)))
+    code, report, out = run_json(["energy", str(path)], capsysbinary)
+    assert code == 0
+    assert b'"skew_energy": 6.0,' in out
+
+
 def test_search_member_and_nonmember(tmp_path, capsysbinary):
     g2_path = write_graph6(tmp_path, "g2.g6", build_family(G2))
     code, report, _ = run_json(["search", g2_path], capsysbinary)
@@ -113,6 +124,12 @@ def test_search_member_and_nonmember(tmp_path, capsysbinary):
     assert code == 1
     assert report["optimum_orientation"] is None
     assert [v[:3] for v in report["violations"][:1]] == [[0, 1, 3]]
+
+
+def test_generate_rejects_orders_graph6_cannot_hold(capsysbinary):
+    # hj(66000) has 264004 vertices; the order is checked before building
+    assert run(["generate", "--family", "hj(66000)"]) == 3
+    assert capsysbinary.readouterr().out == b""
 
 
 def test_census_enumerated(capsysbinary):

@@ -3,6 +3,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewopt import (
     C4, G1, G3, K2, Q4, FormatError, Graph, OrientedGraph, build_family,
@@ -114,6 +116,45 @@ def test_arclist_rejects_malformed_records():
     for blob in cases:
         with pytest.raises(FormatError):
             parse_arclist(blob)
+
+
+def test_parsers_reject_non_ascii_and_loose_integers():
+    for text in ("A\u00e9", "\u0661", ">>graph6<<\u00a0A_"):
+        with pytest.raises(FormatError):
+            parse_graph6(text)
+        with pytest.raises(FormatError):
+            parse_graph6_lines(text)
+    # int() takes all of these; an arc list takes ASCII digits only
+    for blob in ("2 1\n0_1 1\n", "2 1\n+0 1\n", "2 1\n\u0661 0\n",
+                 "+2 1\n0 1\n", "2 0_1\n0 1\n", "2 1\n0 1.0\n"):
+        with pytest.raises(FormatError):
+            parse_arclist(blob)
+    assert parse_arclist("2 1\n1 0\n").arcs == ((1, 0),)
+
+
+_FIELD = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["+0", "0_1", "\u0661", "1.0", "x", "-", "", "00"]),
+)
+_ARC_TEXT = st.lists(
+    st.lists(_FIELD, max_size=3).map(" ".join), max_size=6,
+).map("\n".join)
+_GRAPH6_TEXT = st.lists(
+    st.binary(max_size=12).map(lambda b: bytes(63 + x % 64 for x in b)),
+    max_size=3,
+).map(b"\n".join)
+_ANY_INPUT = st.one_of(st.binary(), st.text(), _ARC_TEXT, _ARC_TEXT.map(str.encode),
+                       _GRAPH6_TEXT, _GRAPH6_TEXT.map(bytes.decode))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_ANY_INPUT)
+def test_parsers_raise_only_format_errors(data):
+    for parse in (parse_graph6, parse_graph6_lines, parse_arclist):
+        try:
+            parse(data)
+        except FormatError:
+            pass
 
 
 def test_arclist_line_numbers_in_errors():

@@ -217,6 +217,24 @@ def test_skew_energy_never_exceeds_bound():
     assert checked >= 50
 
 
+def test_skew_energy_of_trees_in_closed_form():
+    # every orientation of a tree has the graph's energy; stars and odd paths
+    # have a zero eigenvalue, so S is singular
+    rng = random.Random(83)
+    for m in range(2, 41):
+        star = Graph(m + 1, [(0, i) for i in range(1, m + 1)])
+        summary = skew_energy(_random_orientation(star, rng))
+        want = 2.0 * math.sqrt(m)
+        assert abs(summary.skew_energy - want) <= 1e-12 * want, m
+        mus = list(summary.gram_eigenvalues)
+        assert mus == sorted(mus, reverse=True) and min(mus) >= 0.0
+    for n in range(3, 60, 2):
+        path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        want = sum(abs(2.0 * math.cos(math.pi * j / (n + 1))) for j in range(1, n + 1))
+        got = skew_energy(_random_orientation(path, rng)).skew_energy
+        assert abs(got - want) <= 1e-12 * want, n
+
+
 def test_switch_preserves_optimum():
     rng = random.Random(71)
     og = orient_family(G1)

@@ -12,6 +12,7 @@ from skewopt import (
     C4, G2, K4, Graph, OrientedGraph, SwitchingClassIndex, build_family,
     census, emit_graph6, find_optimum_orientation, gi, hj, is_optimum, isomorphic,
     neighbor_parity_report, orient_family, parse_graph6, switching_classes,
+    theorem_crosscheck,
 )
 from skewopt.search import (
     ENUMERATION_ORDER_CAP, _switching_frame, enumerate_connected_k_regular,
@@ -255,6 +256,18 @@ def test_census_small_degrees():
     assert three.violations == ()
     found = sorted(r.classification for r in three.records if r.has_optimum)
     assert found == ["k4", "q3"]
+
+
+def test_census_past_the_catalogue_records_no_violation():
+    # K8 has an optimum orientation at k=7 and K6 none at k=5; there is no
+    # catalogue of k-regular members for k >= 5
+    for g, k, found in ((complete_graph(8), 7, True), (complete_graph(6), 5, False)):
+        (record,) = census([g], k).records
+        assert record.has_optimum == found
+        assert record.classification is None and not record.violation
+        check = theorem_crosscheck(g, k)
+        assert check.consistent and check.label is None
+        assert check.optimum_found == found
 
 
 def test_census_skips_bad_inputs():
