@@ -5,11 +5,21 @@ A connected 4-regular graph admits an optimum orientation exactly when it is
 isomorphic to one of the known members, so classification reduces to
 isomorphism tests against the candidates whose order matches.  For k <= 3
 the members are K2, C4, K4 and Q3; there is no catalogue for k >= 5.
+
+The isomorphism engine, also used by the enumerator's deduplication, works
+on adjacency bitsets (one Python int per vertex). Colour refinement splits
+the vertices from local invariants, and two graphs are rejected at the first
+refinement round whose signature lists differ. Otherwise an iterative matcher
+maps the vertices breadth-first from a vertex of the rarest colour, drawing
+each vertex's candidates from the neighbours of its parent's image (the
+refinement-then-matching scheme of McKay and Piperno, "Practical graph
+isomorphism II", 2014, without individualization).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .families import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, build_family, family_order,
@@ -31,60 +41,172 @@ class Classification:
         return self.label is not None
 
 
-def _vertex_invariants(g: Graph) -> list[tuple]:
-    inv = []
-    for v in range(g.n):
-        shared = sorted(len(g.common_neighbors(v, w)) for w in g.neighbors(v))
-        # twice the number of triangles through v
-        inv.append((g.degree(v), tuple(shared), sum(shared)))
-    return inv
+def _bitsets(g: Graph) -> list[int]:
+    """Adjacency as one int per vertex, bit w of entry v set when vw is an edge."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _members(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _rounds(adj: list[int], around: list[list[int]]):
+    """Colour refinement of a graph given as bitsets and neighbour lists:
+    yield each round's colours and sorted signature list, up to the first
+    round that splits no colour class.
+
+    A vertex starts from (degree, sorted common-neighbour counts with its
+    neighbours, size of its closed 2-ball); each round's signature is (colour,
+    sorted neighbour colours), and a colour is the rank of its signature, so
+    equal signature lists give the same colours in both graphs.
+    """
+    sigs = []
+    for v, a in enumerate(adj):
+        ball = a | 1 << v
+        shared = []
+        for w in around[v]:
+            ball |= adj[w]
+            shared.append((a & adj[w]).bit_count())
+        shared.sort()
+        sigs.append((len(shared), tuple(shared), ball.bit_count()))
+    classes = 0
+    while True:
+        ordered = sorted(sigs)
+        rank = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+        colours = [rank[s] for s in sigs]
+        yield colours, ordered
+        if len(rank) == classes:
+            return
+        classes = len(rank)
+        sigs = [(colours[v], tuple(sorted([colours[w] for w in nbrs])))
+                for v, nbrs in enumerate(around)]
+
+
+def colouring(adj: list[int], around: list[list[int]]) -> tuple[list[int], tuple]:
+    """Stable colours of a graph, and the trace of every refinement round;
+    isomorphic graphs have equal traces."""
+    trace = []
+    for colours, ordered in _rounds(adj, around):
+        trace.append(tuple(ordered))
+    return colours, tuple(trace)
+
+
+def match_plan(adj: list[int], colours: list[int]):
+    """The order in which `match` maps the vertices of a coloured graph:
+    breadth-first from a vertex of the rarest colour, component by component.
+
+    Returns the order and, per step, (colour, step of the BFS parent or -1 at
+    a component root, steps of the neighbours mapped before).
+    """
+    n = len(adj)
+    size: dict[int, int] = {}
+    for c in colours:
+        size[c] = size.get(c, 0) + 1
+    order: list[int] = []
+    parent: list[int] = []
+    step = [0] * n
+    seen = 0
+    for root in sorted(range(n), key=lambda v: (size[colours[v]], colours[v], v)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        head = len(order)
+        order.append(root)
+        parent.append(-1)
+        while head < len(order):
+            p = order[head]
+            for w in _members(adj[p] & ~seen):
+                seen |= 1 << w
+                order.append(w)
+                parent.append(head)
+            head += 1
+    done = 0
+    steps = []
+    for d, v in enumerate(order):
+        step[v] = d
+        steps.append((colours[v], parent[d], [step[u] for u in _members(adj[v] & done)]))
+        done |= 1 << v
+    return order, steps
+
+
+def match(plan, adj: list[int], colours: list[int]):
+    """A colour- and adjacency-preserving map from the planned graph onto
+    this one, as a list, or None.
+
+    A step's candidates are the unused vertices of its colour adjacent to
+    its parent's image (any of its colour at a component root); one is
+    accepted when its adjacency to the used vertices is the image of the
+    step's earlier neighbours, a single bitset compare. The search
+    backtracks with an explicit stack of candidate bitsets.
+    """
+    order, steps = plan
+    n = len(order)
+    if n == 0:
+        return []
+    of_colour: dict[int, int] = {}
+    for w, c in enumerate(colours):
+        of_colour[c] = of_colour.get(c, 0) | 1 << w
+    image = [0] * n
+    bit = [0] * n
+    used = 0
+    stack = [of_colour.get(steps[0][0], 0)]
+    while stack:
+        d = len(stack) - 1
+        want = 0
+        for e in steps[d][2]:
+            want |= bit[e]
+        left = stack[d]
+        while left:
+            low = left & -left
+            left ^= low
+            w = low.bit_length() - 1
+            if adj[w] & used == want:
+                break
+        else:
+            stack.pop()
+            if d:
+                used ^= bit[d - 1]
+            continue
+        stack[d] = left
+        image[d] = w
+        bit[d] = low
+        used |= low
+        if d + 1 == n:
+            mapping = [0] * n
+            for v, w in zip(order, image):
+                mapping[v] = w
+            return mapping
+        colour, p, _ = steps[d + 1]
+        free = of_colour.get(colour, 0) & ~used
+        stack.append(free if p < 0 else free & adj[image[p]])
+    return None
 
 
 def isomorphic(g: Graph, h: Graph):
-    """An adjacency-preserving bijection g -> h, or None.
+    """An adjacency-preserving bijection g -> h as a tuple, or None.
 
-    Vertices are matched only within equal refinement classes
-    (degree, sorted common-neighbor counts, triangle count), then verified
-    by backtracking.
+    Both graphs are refined in step and rejected at the first round whose
+    signature lists differ; otherwise their stable colours guide `match`.
     """
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
-    gi_ = _vertex_invariants(g)
-    hi_ = _vertex_invariants(h)
-    if sorted(gi_) != sorted(hi_):
-        return None
-    candidates = {v: [w for w in range(h.n) if hi_[w] == gi_[v]] for v in range(g.n)}
-    # most constrained vertex first, then fixed index order for determinism
-    order = sorted(range(g.n), key=lambda v: (len(candidates[v]), v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(pos: int) -> bool:
-        if pos == g.n:
-            return True
-        v = order[pos]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for x in range(g.n):
-                y = mapping[x]
-                if y >= 0 and g.has_edge(v, x) != h.has_edge(w, y):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(pos + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    g_adj, h_adj = _bitsets(g), _bitsets(h)
+    g_rounds = _rounds(g_adj, [_members(a) for a in g_adj])
+    h_rounds = _rounds(h_adj, [_members(a) for a in h_adj])
+    for g_round, h_round in zip_longest(g_rounds, h_rounds):
+        if g_round is None or h_round is None or g_round[1] != h_round[1]:
+            return None
+    mapping = match(match_plan(g_adj, g_round[0]), h_adj, h_round[0])
+    return None if mapping is None else tuple(mapping)
 
 
 _SMALL_DEGREE_MEMBERS = {1: (K2,), 2: (C4,), 3: (K4, Q3)}

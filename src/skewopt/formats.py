@@ -117,8 +117,12 @@ def parse_graph6_lines(data) -> list[Graph]:
     return graphs
 
 
-def parse_arclist(data) -> OrientedGraph:
-    """Decode "n m" followed by m lines "tail head"."""
+def parse_arclist(data, max_order: int | None = None) -> OrientedGraph:
+    """Decode "n m" followed by m lines "tail head".
+
+    An order above max_order raises ValueError (not FormatError: the input
+    may be well-formed) before any vertex is allocated.
+    """
     lines = _ascii(data).split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
@@ -133,6 +137,8 @@ def parse_arclist(data) -> OrientedGraph:
         raise FormatError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise FormatError("n and m must be nonnegative")
+    if max_order is not None and n > max_order:
+        raise ValueError(f"arc list has {n} vertices; at most {max_order} are accepted")
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} arc lines, got {len(lines) - 1}")
     arcs = []

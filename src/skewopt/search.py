@@ -12,7 +12,8 @@ split is also counted. Elimination over Python-int bitsets solves the
 equations; a descent over the remaining free bits, highest first, checks the
 counts and returns the smallest assignment, the same witness as trying the
 assignments in increasing order. The census pairs that search with the
-family classifier and flags any graph where the two disagree.
+family classifier and flags any graph where the two disagree; its built-in
+enumerator deduplicates with the classifier's refinement and matcher.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from .classify import _vertex_invariants, classify, isomorphic
+from .classify import classify, colouring, match, match_plan
 from .families import FamilyLabel
 from .formats import emit_graph6
 from .graphs import Graph, OrientedGraph
@@ -220,21 +219,14 @@ def find_optimum_orientation(g: Graph, k: int):
     return og
 
 
-def _invariant_key(g: Graph):
-    adj = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        adj[u, v] = adj[v, u] = 1.0
-    spectrum = tuple(round(float(x), 6) for x in sorted(np.linalg.eigvalsh(adj)))
-    return spectrum, tuple(sorted(_vertex_invariants(g)))
-
-
 def enumerate_connected_k_regular(n: int, k: int):
     """One representative per isomorphism class, by orderly backtracking.
 
     Vertex 0's neighborhood is pinned to 1..k and new vertices are labeled in
     first-touch order, which keeps the labeled search space small while still
-    reaching every class; survivors are deduplicated by invariant buckets
-    plus explicit isomorphism tests.
+    reaching every class. Each completion is refined to stable colours and
+    matched only against the kept classes with the same refinement trace;
+    the first completion of each class is yielded.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -253,17 +245,18 @@ def enumerate_connected_k_regular(n: int, k: int):
         return
 
     deficit = [k] * n
-    edges: list[tuple[int, int]] = []
-    buckets: dict = {}
+    adj = [0] * n
+    around: list[list[int]] = [[] for _ in range(n)]
+    # refinement trace -> match plans of the classes kept with it
+    buckets: dict[tuple, list] = {}
 
     def complete(v: int, next_fresh: int):
         if v == n:
-            g = Graph(n, edges)
-            key = _invariant_key(g)
-            kept = buckets.setdefault(key, [])
-            if all(isomorphic(g, rep) is None for rep in kept):
-                kept.append(g)
-                yield g
+            colours, trace = colouring(adj, around)
+            kept = buckets.setdefault(trace, [])
+            if all(match(plan, adj, colours) is None for plan in kept):
+                kept.append(match_plan(adj, colours))
+                yield Graph(n, [(u, w) for u in range(n) for w in around[u] if u < w])
             return
         if deficit[v] == 0:
             yield from complete(v + 1, next_fresh)
@@ -283,11 +276,17 @@ def enumerate_connected_k_regular(n: int, k: int):
                 deficit[v] = 0
                 for w in chosen:
                     deficit[w] -= 1
-                    edges.append((v, w))
+                    adj[v] ^= 1 << w
+                    adj[w] ^= 1 << v
+                    around[v].append(w)
+                    around[w].append(v)
                 yield from complete(v + 1, next_fresh + f)
                 for w in chosen:
                     deficit[w] += 1
-                    edges.pop()
+                    adj[v] ^= 1 << w
+                    adj[w] ^= 1 << v
+                    around[v].pop()
+                    around[w].pop()
                 deficit[v] = need
 
     yield from complete(0, 1)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, Graph, build_family,
-    candidate_members, classify, gi, hj, isomorphic, theorem_crosscheck,
+    candidate_members, classify, family_order, gi, hj, isomorphic,
+    theorem_crosscheck,
 )
 
 
@@ -19,6 +23,37 @@ def shuffled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def two_switched(g: Graph, rng: random.Random, times: int) -> Graph:
+    """Replace edges ab, cd by ac, bd (a, b, c, d distinct, ac and bd
+    absent) `times` times; degrees are kept."""
+    edges = set(g.edges)
+    for _ in range(times):
+        while True:
+            (a, b), (c, d) = rng.sample(sorted(edges), 2)
+            if rng.random() < 0.5:
+                c, d = d, c
+            ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
+            if len({a, b, c, d}) == 4 and ac not in edges and bd not in edges:
+                break
+        edges -= {(a, b), tuple(sorted((c, d)))}
+        edges |= {ac, bd}
+    return Graph(g.n, edges)
+
+
+def preserves_adjacency(g: Graph, h: Graph, mapping) -> bool:
+    return sorted(mapping) == list(range(g.n)) and all(
+        g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+        for u, v in combinations(range(g.n), 2)
+    )
+
+
+def spectrum(g: Graph) -> np.ndarray:
+    adj = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = 1.0
+    return np.round(np.linalg.eigvalsh(adj), 6)
 
 
 ALL_MEMBERS = [G1, G2, G3, Q4] + [gi(i) for i in range(1, 6)] + [
@@ -108,6 +143,57 @@ def test_isomorphic_rejects_structural_lookalikes():
     hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert isomorphic(hexagon, triangles) is None
+
+
+def test_isomorphic_agrees_with_networkx():
+    # relabelings, and relabeled members with one or two 2-switches, which
+    # may be disconnected or land back in the member's class; pairs with
+    # different adjacency spectra are not isomorphic, and networkx decides
+    # the rest (its matchers take seconds on some non-isomorphic pairs)
+    rng = random.Random(43)
+    labels = [C4, Q3, G1, G2, G3, Q4] + [
+        label for i in range(1, 7) for label in (gi(i), hj(i))
+        if family_order(label) <= 30
+    ]
+    hits = misses = 0
+    for label in labels:
+        g = build_family(label)
+        for times in (0, 0, 1, 1, 2, 2):
+            h = shuffled(two_switched(g, rng, times), rng)
+            for a, b in ((g, h), (h, shuffled(h, rng))):
+                mapping = isomorphic(a, b)
+                want = np.array_equal(spectrum(a), spectrum(b)) and nx.is_isomorphic(
+                    nx.Graph(a.edges), nx.Graph(b.edges))
+                assert (mapping is not None) == want, (label, times)
+                if mapping is not None:
+                    assert preserves_adjacency(a, b, mapping)
+                hits += want
+                misses += not want
+    assert hits > 100 and misses > 40
+
+
+def test_near_misses_are_rejected_in_bounded_time():
+    # one or two 2-switches of every member up to n = 56, relabeled; a
+    # different adjacency spectrum certifies that the pair is not isomorphic
+    rng = random.Random(47)
+    labels = [G1, G2, G3, Q4] + [gi(i) for i in range(1, 13)] + [
+        hj(j) for j in range(1, 14)]
+    rejected = 0
+    elapsed = 0.0
+    for label in labels:
+        g = build_family(label)
+        for times in (1, 1, 1, 2, 2, 2):
+            h = shuffled(two_switched(g, rng, times), rng)
+            start = time.perf_counter()
+            mapping = isomorphic(g, h)
+            elapsed += time.perf_counter() - start
+            if np.array_equal(spectrum(g), spectrum(h)):
+                assert mapping is None or preserves_adjacency(g, h, mapping)
+            else:
+                assert mapping is None
+                rejected += 1
+    assert rejected >= 160
+    assert elapsed < 5.0
 
 
 def test_classify_rejects_bad_inputs():

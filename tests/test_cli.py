@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 from itertools import combinations
 
 from skewopt import (
-    G1, G2, Graph, OrientedGraph, build_family, emit_arclist, emit_graph6,
+    G1, G2, Graph, OrientedGraph, build_family, emit_arclist, emit_graph6, hj,
     is_optimum, orient_family,
 )
-from skewopt.cli import run
+from skewopt.cli import ARCLIST_ORDER_LIMIT, run
 
 
 def write_graph6(tmp_path, name, g):
@@ -130,6 +132,35 @@ def test_generate_rejects_orders_graph6_cannot_hold(capsysbinary):
     # hj(66000) has 264004 vertices; the order is checked before building
     assert run(["generate", "--family", "hj(66000)"]) == 3
     assert capsysbinary.readouterr().out == b""
+
+
+def test_classify_large_relabeled_member(tmp_path, capsysbinary):
+    # hj(300) has 1204 vertices; a matcher recursing once per vertex would
+    # overflow the interpreter stack here
+    g = build_family(hj(300))
+    perm = list(range(g.n))
+    random.Random(41).shuffle(perm)
+    path = write_graph6(tmp_path, "hj300.g6", g.relabel(perm))
+    start = time.perf_counter()
+    code, report, out = run_json(["classify", path], capsysbinary)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert b'"classification": "hj(300)"' in out
+    assert report["n"] == 1204
+
+
+def test_arclist_orders_above_the_limit_exit_three(tmp_path, capsysbinary):
+    # checked from the header, before any n x n matrix is allocated
+    for order in (ARCLIST_ORDER_LIMIT + 1, 20000, 10**12):
+        path = tmp_path / "big.arcs"
+        path.write_bytes(f"{order} 0\n".encode("ascii"))
+        for command in ("energy", "verify"):
+            start = time.perf_counter()
+            assert run([command, str(path)]) == 3
+            assert time.perf_counter() - start < 1.0
+            captured = capsysbinary.readouterr()
+            assert captured.out == b""
+            assert str(ARCLIST_ORDER_LIMIT).encode("ascii") in captured.err
 
 
 def test_census_enumerated(capsysbinary):
