@@ -227,6 +227,17 @@ def enumerate_connected_k_regular(n: int, k: int):
     reaching every class. Each completion is refined to stable colours and
     matched only against the kept classes with the same refinement trace;
     the first completion of each class is yielded.
+
+    Twin prune: when vertex v picks neighbours among the touched vertices
+    after it, those with the same neighbours so far are twins, and a subset
+    that takes a twin without every earlier twin of its group is skipped.
+    This never cuts the first completion of a class. Swapping twins a < b
+    fixes the finished part, so a completion that takes b but not a at v,
+    swapped and with its untouched vertices relabeled in first-touch order,
+    is an isomorphic completion that agrees with it before v and takes a
+    lexicographically smaller subset with the same fresh count at v; the
+    search reaches that one first. The yielded graphs, their labels and
+    their order are therefore those of the unpruned search.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -265,6 +276,14 @@ def enumerate_connected_k_regular(n: int, k: int):
             return  # untouched vertex: the finished part is already sealed off
         need = deficit[v]
         old = [w for w in range(v + 1, next_fresh) if deficit[w] > 0]
+        # old vertices with the same neighbours so far are twins; a subset
+        # may take a twin only together with the twin before it (a vertex
+        # without one is its own)
+        twin_before = {}
+        last_with = {}
+        for w in old:
+            twin_before[w] = last_with.get(adj[w], w)
+            last_with[adj[w]] = w
         fresh_avail = n - next_fresh
         for f in range(min(need, fresh_avail) + 1):
             r = need - f
@@ -272,6 +291,8 @@ def enumerate_connected_k_regular(n: int, k: int):
                 continue
             fresh = list(range(next_fresh, next_fresh + f))
             for subset in combinations(old, r):
+                if any(twin_before[w] not in subset for w in subset):
+                    continue
                 chosen = list(subset) + fresh
                 deficit[v] = 0
                 for w in chosen:

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from skewopt import (
-    G1, G2, Graph, OrientedGraph, build_family, gram, gram_eigenvalues,
-    int_matrix, is_optimum, orient_family, power, skew_adjacency, skew_energy,
-    switching_classes, symmetric_eigenvalues,
+    C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family, gi, gram,
+    gram_eigenvalues, hj, int_matrix, is_optimum, orient_family, power,
+    skew_adjacency, skew_energy, switching_classes, symmetric_eigenvalues,
 )
+from skewopt.search import enumerate_connected_k_regular
 
 from oracles import eigenvalues_by_bisection
 
@@ -122,6 +124,48 @@ def test_is_optimum_matches_matrix_square():
         n = og.base.n
         via_square = np.array_equal(power(s, 2), -4 * np.eye(n, dtype=np.int64))
         assert is_optimum(og, 4) == via_square
+
+
+def test_is_optimum_agrees_with_dense_gram():
+    rng = random.Random(17)
+    cases = []
+    for n, k in ((6, 3), (8, 3), (8, 4), (9, 4), (8, 5), (8, 6)):
+        for g in enumerate_connected_k_regular(n, k):
+            cases += [_random_orientation(g, rng) for _ in range(3)]
+    # members switched at random vertex sets stay optimum; one reversed arc
+    # breaks that
+    for label in (K2, C4, K4, Q3, G1, G2, G3, Q4, gi(1), hj(1), hj(2)):
+        og = orient_family(label)
+        for _ in range(5):
+            switched = og.switch([v for v in range(og.base.n) if rng.random() < 0.5])
+            arcs = list(switched.arcs)
+            arcs[0] = arcs[0][::-1]
+            cases += [switched, OrientedGraph(og.base, arcs)]
+    for m in range(1, 7):
+        star = Graph(m + 1, [(0, v) for v in range(1, m + 1)])
+        path = Graph(m + 1, [(v, v + 1) for v in range(m)])
+        cases += [_random_orientation(star, rng), _random_orientation(path, rng),
+                  OrientedGraph(Graph(m, []), [])]
+    cases.append(OrientedGraph(Graph(5, [(0, 1), (2, 3)]), [(1, 0), (2, 3)]))
+    hits = 0
+    for og in cases:
+        s = skew_adjacency(og)
+        for k in range(1, 8):
+            dense = np.array_equal(gram(s), k * np.eye(og.base.n, dtype=np.int64))
+            assert is_optimum(og, k) == dense, (og.arcs, k)
+            hits += dense
+    assert hits >= 55  # every switched member
+
+
+def test_is_optimum_at_two_thousand_vertices():
+    og = orient_family(hj(499))
+    assert og.base.n == 2000
+    start = time.perf_counter()
+    assert is_optimum(og, 4)
+    arcs = list(og.arcs)
+    arcs[0] = arcs[0][::-1]
+    assert not is_optimum(OrientedGraph(og.base, arcs), 4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_symmetric_eigenvalues_trivial():

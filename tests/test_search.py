@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -15,6 +16,7 @@ from skewopt import (
     neighbor_parity_report, orient_family, parse_graph6, switching_classes,
     theorem_crosscheck,
 )
+from skewopt.cli import run
 from skewopt.search import (
     ENUMERATION_ORDER_CAP, _switching_frame, enumerate_connected_k_regular,
 )
@@ -191,9 +193,11 @@ def test_search_survives_relabeling_and_switching():
 
 
 def test_enumeration_counts():
-    # cubic counts from OEIS A002851; the cubic enumeration up to n=12 once
-    # took 100 s when its deduplication lost a discriminating key
+    # OEIS counts: cubic A002851, quartic A006820, quintic A006821, sextic
+    # A006822; the cubic enumeration up to n=12 once took 100 s when its
+    # deduplication lost a discriminating key
     frozen = {(5, 4): 1, (6, 4): 1, (7, 4): 2, (8, 4): 6, (9, 4): 16,
+              (11, 4): 265, (8, 5): 3, (10, 5): 60, (9, 6): 4, (10, 6): 21,
               (4, 3): 1, (6, 3): 2, (8, 3): 5, (10, 3): 19, (12, 3): 85,
               (2, 1): 1, (4, 1): 0}
     elapsed = 0.0
@@ -207,6 +211,30 @@ def test_enumeration_counts():
         for a, b in combinations(graphs, 2):
             assert isomorphic(a, b) is None
     assert elapsed < 15.0
+
+
+def test_enumeration_and_census_bytes_are_pinned(capsysbinary):
+    # sha256 of the graph6 lines yielded for n = 1..top, and of the census
+    # report, as the search printed them before it skipped twin-symmetric
+    # branches; the bound holds only with that prune (about 30 s without)
+    expected = {
+        (3, 12): "b9c43465470bc59ab9add85428dae63af1a3e2949fa465e5c4f2bb08330e9d05",
+        (4, 10): "5bdf21b2434a848e49bd5209c811f19f645a4af7cd490974185fa1e0d82d84f8",
+        (5, 10): "4148fd27cc7274f4a5d2768ac3f249ce1129cc320e4c09ad39611dba4a004feb",
+        (6, 10): "218dfad41b1168e758f19f3da0ca51ed295ebf46856f5d4198144cf571a4b719",
+    }
+    start = time.perf_counter()
+    for (k, top), want in expected.items():
+        digest = hashlib.sha256()
+        for n in range(1, top + 1):
+            for g in enumerate_connected_k_regular(n, k):
+                digest.update(emit_graph6(g) + b"\n")
+        assert digest.hexdigest() == want, k
+    assert time.perf_counter() - start < 10.0
+    assert run(["census", "--max-n", "10", "--k", "4"]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == (
+        "8b792706e8ebe4715d419b2040a9ae0fc512875db76043a1d2bf25321a765c98")
 
 
 def circulant(n: int, a: int, b: int) -> Graph:
