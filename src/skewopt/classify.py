@@ -6,14 +6,17 @@ isomorphic to one of the known members, so classification reduces to
 isomorphism tests against the candidates whose order matches.  For k <= 3
 the members are K2, C4, K4 and Q3; there is no catalogue for k >= 5.
 
-The isomorphism engine, also used by the enumerator's deduplication, works
-on adjacency bitsets (one Python int per vertex). Colour refinement splits
-the vertices from local invariants, and two graphs are rejected at the first
-refinement round whose signature lists differ. Otherwise an iterative matcher
-maps the vertices breadth-first from a vertex of the rarest colour, drawing
-each vertex's candidates from the neighbours of its parent's image (the
-refinement-then-matching scheme of McKay and Piperno, "Practical graph
-isomorphism II", 2014, without individualization).
+The isomorphism engine works on adjacency bitsets (one Python int per
+vertex). Colour refinement splits the vertices from local invariants, and
+two graphs are rejected at the first refinement round whose signature lists
+differ. Otherwise an iterative matcher maps the vertices breadth-first from
+a vertex of the rarest colour, drawing each vertex's candidates from the
+neighbours of its parent's image (the refinement-then-matching scheme of
+McKay and Piperno, "Practical graph isomorphism II", 2014, without
+individualization). `isomorphic` refines to stable colours, which large
+members need; the enumerator's deduplication in `search` keys and matches
+its small completions on the first round's colours alone, which any
+isomorphism preserves just as well.
 """
 
 from __future__ import annotations
@@ -89,15 +92,6 @@ def _rounds(adj: list[int], around: list[list[int]]):
         classes = len(rank)
         sigs = [(colours[v], tuple(sorted([colours[w] for w in nbrs])))
                 for v, nbrs in enumerate(around)]
-
-
-def colouring(adj: list[int], around: list[list[int]]) -> tuple[list[int], tuple]:
-    """Stable colours of a graph, and the trace of every refinement round;
-    isomorphic graphs have equal traces."""
-    trace = []
-    for colours, ordered in _rounds(adj, around):
-        trace.append(tuple(ordered))
-    return colours, tuple(trace)
 
 
 def match_plan(adj: list[int], colours: list[int]):

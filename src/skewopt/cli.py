@@ -2,8 +2,8 @@
 
 Subcommands: generate, verify, energy, search, classify, census.
 Exit codes: 0 success, 1 negative answer under --strict, 2 unreadable or
-malformed input, 3 invalid arguments (an arc list above ARCLIST_ORDER_LIMIT
-vertices among them).
+malformed input, 3 invalid arguments (an empty graph, or an arc list above
+ARCLIST_ORDER_LIMIT vertices, among them).
 Reports are JSON with a fixed key order and floats printed to 12 significant
 digits, so identical runs produce byte-identical output.
 """
@@ -220,8 +220,16 @@ def _cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _oriented_input(cfg: RunConfig) -> OrientedGraph:
     og = parse_arclist(_require_input(cfg), ARCLIST_ORDER_LIMIT)
+    if og.base.n == 0:
+        # every statement about the Gram of an empty graph holds vacuously
+        raise ValueError("input graph is empty")
+    return og
+
+
+def _cmd_verify(cfg: RunConfig) -> int:
+    og = _oriented_input(cfg)
     report = _graph_report(og.base, cfg.k)
     report.update(_spectral_fields(og, cfg.k))
     report.update(_classification_field(og.base))
@@ -232,7 +240,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_energy(cfg: RunConfig) -> int:
-    og = parse_arclist(_require_input(cfg), ARCLIST_ORDER_LIMIT)
+    og = _oriented_input(cfg)
     summary = skew_energy(og)
     report = _graph_report(og.base, cfg.k)
     report["skew_energy"] = _round12(summary.skew_energy)

@@ -13,7 +13,8 @@ equations; a descent over the remaining free bits, highest first, checks the
 counts and returns the smallest assignment, the same witness as trying the
 assignments in increasing order. The census pairs that search with the
 family classifier and flags any graph where the two disagree; its built-in
-enumerator deduplicates with the classifier's refinement and matcher.
+enumerator deduplicates with the classifier's first refinement round and
+matcher.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
-from .classify import classify, colouring, match, match_plan
+from .classify import _rounds, classify, match, match_plan
 from .families import FamilyLabel
 from .formats import emit_graph6
 from .graphs import Graph, OrientedGraph
@@ -224,9 +225,13 @@ def enumerate_connected_k_regular(n: int, k: int):
 
     Vertex 0's neighborhood is pinned to 1..k and new vertices are labeled in
     first-touch order, which keeps the labeled search space small while still
-    reaching every class. Each completion is refined to stable colours and
-    matched only against the kept classes with the same refinement trace;
-    the first completion of each class is yielded.
+    reaching every class. Each completion is bucketed by the signature list
+    of the first refinement round only and matched, under those colours,
+    against the kept classes of its bucket; the first completion of each
+    class is yielded. A vertex's colour is the rank of its signature, which
+    an isomorphism carries over, in the sorted signature list, which the
+    two completions share; so every isomorphism between two completions of
+    a bucket preserves the colours and `match` finds it.
 
     Twin prune: when vertex v picks neighbours among the touched vertices
     after it, those with the same neighbours so far are twins, and a subset
@@ -236,8 +241,18 @@ def enumerate_connected_k_regular(n: int, k: int):
     swapped and with its untouched vertices relabeled in first-touch order,
     is an isomorphic completion that agrees with it before v and takes a
     lexicographically smaller subset with the same fresh count at v; the
-    search reaches that one first. The yielded graphs, their labels and
-    their order are therefore those of the unpruned search.
+    search reaches that one first.
+
+    Degree cut: on entering v, every vertex below v is saturated, so an
+    unsaturated touched vertex w >= v can still be joined only to the
+    untouched vertices and to the other unsaturated touched vertices >= v
+    it is not yet adjacent to. If its deficit exceeds their number, no
+    completion lies below, and the node returns at once.
+
+    The twin prune removes no first completion of a class, the degree cut
+    no completion at all, and a first-round bucket rejects exactly the
+    completions that full refinement did, so the yielded graphs, their
+    labels and their order are those of the unpruned search.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -258,57 +273,67 @@ def enumerate_connected_k_regular(n: int, k: int):
     deficit = [k] * n
     adj = [0] * n
     around: list[list[int]] = [[] for _ in range(n)]
-    # refinement trace -> match plans of the classes kept with it
+    # first-round signature list -> match plans of the classes kept with it
     buckets: dict[tuple, list] = {}
 
     def complete(v: int, next_fresh: int):
+        while v < n and not deficit[v]:
+            v += 1
         if v == n:
-            colours, trace = colouring(adj, around)
-            kept = buckets.setdefault(trace, [])
+            colours, signatures = next(_rounds(adj, around))
+            kept = buckets.setdefault(tuple(signatures), [])
             if all(match(plan, adj, colours) is None for plan in kept):
                 kept.append(match_plan(adj, colours))
                 yield Graph(n, [(u, w) for u in range(n) for w in around[u] if u < w])
             return
-        if deficit[v] == 0:
-            yield from complete(v + 1, next_fresh)
-            return
         if v > 0 and v == next_fresh:
             return  # untouched vertex: the finished part is already sealed off
-        need = deficit[v]
-        old = [w for w in range(v + 1, next_fresh) if deficit[w] > 0]
+        fresh_avail = n - next_fresh
+        old = [w for w in range(v + 1, next_fresh) if deficit[w]]
+        unsaturated = 1 << v
+        for w in old:
+            unsaturated |= 1 << w
+        for w in (v, *old):
+            # degree cut; `unsaturated & ~adj[w]` counts w itself
+            if deficit[w] >= fresh_avail + (unsaturated & ~adj[w]).bit_count():
+                return
         # old vertices with the same neighbours so far are twins; a subset
-        # may take a twin only together with the twin before it (a vertex
-        # without one is its own)
-        twin_before = {}
+        # may take a twin only together with the twin before it
+        twins = []
         last_with = {}
         for w in old:
-            twin_before[w] = last_with.get(adj[w], w)
+            if adj[w] in last_with:
+                twins.append((w, last_with[adj[w]]))
             last_with[adj[w]] = w
-        fresh_avail = n - next_fresh
+        need = deficit[v]
+        row = adj[v]
+        bit = 1 << v
+        deficit[v] = 0
         for f in range(min(need, fresh_avail) + 1):
             r = need - f
             if r > len(old):
                 continue
             fresh = list(range(next_fresh, next_fresh + f))
             for subset in combinations(old, r):
-                if any(twin_before[w] not in subset for w in subset):
+                if twins and any(w in subset and b not in subset for w, b in twins):
                     continue
                 chosen = list(subset) + fresh
-                deficit[v] = 0
                 for w in chosen:
                     deficit[w] -= 1
-                    adj[v] ^= 1 << w
-                    adj[w] ^= 1 << v
-                    around[v].append(w)
+                    adj[w] |= bit
+                    row |= 1 << w
                     around[w].append(v)
+                adj[v] = row
+                around[v] += chosen
                 yield from complete(v + 1, next_fresh + f)
                 for w in chosen:
                     deficit[w] += 1
-                    adj[v] ^= 1 << w
-                    adj[w] ^= 1 << v
-                    around[v].pop()
+                    adj[w] ^= bit
+                    row ^= 1 << w
                     around[w].pop()
-                deficit[v] = need
+                del around[v][-need:]
+        adj[v] = row
+        deficit[v] = need
 
     yield from complete(0, 1)
 

@@ -2,8 +2,10 @@
 
 Two independent routes to the same Gram statement: common-neighborhood parity
 filters on the underlying graph, and explicit signed-walk enumeration on the
-orientation. Both are kept deliberately naive so they can cross-check the
-matrix pipeline rather than share code with it.
+orientation. Neither shares code with the matrix pipeline, so both can
+cross-check it. The parity report runs on the production path (the search
+prefilter, `verify`) and counts common neighbours with adjacency bitsets;
+the walk counts are deliberately naive oracles.
 """
 
 from __future__ import annotations
@@ -58,11 +60,24 @@ def neighbor_parity_report(g: Graph, mode: str = "general-even") -> Neighborhood
         raise ValueError(f"mode must be one of {PARITY_MODES}, got {mode!r}")
     if mode == "four-regular" and not g.is_regular(4):
         raise ValueError("four-regular mode needs a 4-regular graph")
+    # only pairs at distance two share a neighbour, and a count of 0 breaks
+    # neither mode, so each u scans the bits above it in its 2-ball
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     violations = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            count = len(g.common_neighbors(u, v))
-            adjacent = g.has_edge(u, v)
+    for u, a in enumerate(adj):
+        ball = 0
+        for w in g.neighbors(u):
+            ball |= adj[w]
+        ball >>= u + 1
+        while ball:
+            low = ball & -ball
+            ball ^= low
+            v = u + low.bit_length()
+            count = (a & adj[v]).bit_count()
+            adjacent = bool(a >> v & 1)
             if mode == "general-even":
                 bad = count % 2 != 0
             elif adjacent:

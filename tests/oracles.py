@@ -3,14 +3,16 @@
 Everything here is deliberately written against different algorithms than the
 package under test: exact rational characteristic polynomials with Sturm
 bisection instead of LAPACK eigensolvers, direct enumeration of all 2^m
-orientations instead of switching classes, and labeled-graph backtracking with
-networkx isomorphism instead of orderly generation.
+orientations instead of switching classes, labeled-graph backtracking with
+networkx isomorphism and automorphism counts instead of orderly generation,
+and a pair-by-pair common-neighbour count instead of adjacency bitsets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import networkx as nx
 
@@ -307,3 +309,66 @@ def connected_regular_class_count(n: int, k: int) -> int:
         ):
             reps.append((tri, g))
     return len(reps)
+
+
+def labeled_connected_regular_count(n: int, k: int) -> int:
+    """Number of connected k-regular graphs on the labeled vertex set
+    0..n-1, by the same labeled backtracking."""
+    return sum(
+        1 for edges in _labeled_k_regular(n, k) if _is_connected_edge_list(n, edges)
+    )
+
+
+def _nx_graph(n: int, edges) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return g
+
+
+def labeling_count(n: int, k: int, edges) -> int:
+    """n!/|Aut G|, the number of labeled graphs isomorphic to a connected
+    k-regular graph G, with automorphisms counted by networkx VF2."""
+    g = _nx_graph(n, edges)
+    if not nx.is_connected(g) or any(d != k for _, d in g.degree()):
+        raise ValueError("labeling_count needs a connected k-regular graph")
+    matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
+    return factorial(n) // sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def pairwise_non_isomorphic(n: int, edge_lists) -> bool:
+    """True iff no two of the graphs on n vertices are isomorphic (networkx)."""
+    graphs = [_nx_graph(n, edges) for edges in edge_lists]
+    return not any(nx.is_isomorphic(a, b) for a, b in combinations(graphs, 2))
+
+
+# ---------------------------------------------------------------------------
+# common-neighbour parity, pair by pair
+# ---------------------------------------------------------------------------
+
+
+def neighbor_parity_violations(n: int, edges, mode: str) -> tuple:
+    """(u, v, common count, adjacent) for every pair u < v whose count of
+    common neighbours breaks the mode, by a loop over all n(n-1)/2 pairs.
+
+    general-even: any odd count. four-regular: adjacent pairs outside
+    {0, 2}, non-adjacent pairs outside {0, 2, 4}.
+    """
+    around = [set() for _ in range(n)]
+    for u, v in edges:
+        around[u].add(v)
+        around[v].add(u)
+    violations = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            count = len(around[u] & around[v])
+            adjacent = v in around[u]
+            if mode == "general-even":
+                bad = count % 2 != 0
+            elif adjacent:
+                bad = count not in (0, 2)
+            else:
+                bad = count not in (0, 2, 4)
+            if bad:
+                violations.append((u, v, count, adjacent))
+    return tuple(violations)

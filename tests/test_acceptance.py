@@ -12,7 +12,10 @@ from itertools import combinations
 
 import numpy as np
 
-from oracles import connected_regular_class_count, eigenvalues_by_bisection
+from oracles import (
+    eigenvalues_by_bisection, labeled_connected_regular_count, labeling_count,
+    pairwise_non_isomorphic,
+)
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family,
     canonical_blocks, census, check_block_identities, classify,
@@ -131,12 +134,17 @@ def test_quartic_census_at_desk_scale():
     start = time.perf_counter()
     corpus = quartic_corpus()
     counts = tuple(len(corpus[n]) for n in range(5, 11))
-    # the labeled-enumeration oracle independently rebuilds orders 5..8;
-    # 16 and 59 are the published counts of connected quartic graphs
-    # (OEIS A006820) and pin the enumerator at orders 9 and 10
+    # the labeled-enumeration oracle independently checks orders 5..8 by
+    # orbit counting: pairwise non-isomorphic classes whose n!/|Aut G|
+    # labelings add up to every labeled connected quartic graph, so no class
+    # is missing; 16 and 59 are the published counts of connected quartic
+    # graphs (OEIS A006820) and pin the enumerator at orders 9 and 10
     assert counts == QUARTIC_COUNTS
     for n in range(5, 9):
-        assert len(corpus[n]) == connected_regular_class_count(n, 4)
+        edge_lists = [g.edges for g in corpus[n]]
+        assert pairwise_non_isomorphic(n, edge_lists)
+        assert sum(labeling_count(n, 4, edges) for edges in edge_lists) == (
+            labeled_connected_regular_count(n, 4))
     optima = []
     for n in range(5, 11):
         for g in corpus[n]:

@@ -231,6 +231,17 @@ def test_search_empty_graph_exits_three(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == b""
 
 
+def test_empty_arc_list_exits_three(tmp_path, capsysbinary):
+    # S^T S = kI holds vacuously on no vertices; that is no answer
+    empty = tmp_path / "empty.arcs"
+    empty.write_bytes(b"0 0\n")
+    for command in ("verify", "energy"):
+        for strict in ([], ["--strict"]):
+            assert run([command, str(empty), *strict]) == 3
+            captured = capsysbinary.readouterr()
+            assert captured.out == b"" and b"empty" in captured.err
+
+
 def test_io_error_codes(tmp_path):
     assert run(["classify", str(tmp_path / "missing.g6")]) == 2
     bad = tmp_path / "bad.g6"

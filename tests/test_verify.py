@@ -3,13 +3,16 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
+from oracles import neighbor_parity_violations
 from skewopt import (
     G1, G2, Graph, OrientedGraph, gi, hj, is_optimum, neighbor_parity_report,
     orient_family, signed_walk_counts, two_walk_balanced, walk_identity_holds,
 )
 from skewopt.search import enumerate_connected_k_regular
+from skewopt.verify import PARITY_MODES
 
 
 def complete_graph(n: int) -> Graph:
@@ -56,6 +59,30 @@ def test_parity_mode_validation():
         neighbor_parity_report(complete_graph(4), mode="odd")
     with pytest.raises(ValueError):
         neighbor_parity_report(complete_graph(4), mode="four-regular")
+
+
+def test_parity_report_agrees_with_pair_loop():
+    # the report scans distance-2 pairs with bitsets; the oracle counts the
+    # common neighbours of every pair, so both must list the same violations
+    # in the same order
+    rng = random.Random(13)
+    graphs = [g for k, top in ((3, 10), (4, 9), (5, 10), (6, 10))
+              for n in range(k + 1, top + 1)
+              for g in enumerate_connected_k_regular(n, k)]
+    graphs += [orient_family(label).base for label in (G1, G2, gi(2), hj(3))]
+    for n in (10, 21, 40, 77):
+        seed = rng.randrange(1 << 30)
+        graphs.append(Graph(n, nx.random_regular_graph(4, n, seed=seed).edges))
+        p = rng.choice((0.1, 0.3, 0.6))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    checked = {mode: 0 for mode in PARITY_MODES}
+    for g in graphs:
+        for mode in PARITY_MODES if g.is_regular(4) else ("general-even",):
+            want = neighbor_parity_violations(g.n, g.edges, mode)
+            assert neighbor_parity_report(g, mode).violations == want, (g, mode)
+            checked[mode] += bool(want)
+    # both modes saw graphs with violations, not only passing ones
+    assert min(checked.values()) >= 5, checked
 
 
 def test_signed_walk_counts_single_edge():
