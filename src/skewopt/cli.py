@@ -27,8 +27,9 @@ from .search import census, enumerate_connected_k_regular, find_optimum_orientat
 from .verify import neighbor_parity_report
 
 K_RANGE = (1, 8)
-# verify and energy build dense n x n matrices (numpy's SVD of S takes about
-# 1.6 s at n = 2000 and 14 s at n = 4000), so larger arc lists exit 3
+# verify, energy and generate --oriented --format json build dense n x n
+# matrices (numpy's SVD of S takes about 1.6 s at n = 2000 and 14 s at
+# n = 4000), so larger inputs exit 3
 ARCLIST_ORDER_LIMIT = 2000
 
 
@@ -197,6 +198,12 @@ def _cmd_generate(cfg: RunConfig) -> int:
         raise _UsageError(
             f"{label} has {family_order(label)} vertices; graph6 orders "
             f"stop below {GRAPH6_ORDER_LIMIT}"
+        )
+    # the JSON report's energy takes the SVD of the dense n x n matrix S
+    if cfg.oriented and fmt == "json" and family_order(label) > ARCLIST_ORDER_LIMIT:
+        raise _UsageError(
+            f"{label} has {family_order(label)} vertices; oriented JSON reports "
+            f"stop at {ARCLIST_ORDER_LIMIT}"
         )
     if cfg.oriented:
         og = orient_family(label)

@@ -16,14 +16,14 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 import re
 
 import numpy as np
 
 from .graphs import Graph, OrientedGraph
-from .matrices import int_matrix, gram, is_optimum, skew_adjacency
+from .matrices import int_matrix, is_optimum, skew_adjacency
 
 _FIXED_KINDS = ("g1", "g2", "g3", "q4", "k2", "c4", "k4", "q3")
 _PARAM_KINDS = ("gi", "hj")
@@ -102,14 +102,9 @@ def family_order(label: FamilyLabel) -> int:
 
 
 # ---------------------------------------------------------------------------
-# block machinery for the two infinite sequences
+# the two infinite sequences: bridge blocks, identity checks, sparse assembly
+# (the only construction of gi/hj)
 # ---------------------------------------------------------------------------
-
-def _frozen(rows) -> np.ndarray:
-    m = int_matrix(rows)
-    m.setflags(write=False)
-    return m
-
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
@@ -204,11 +199,50 @@ def _required_identities(label: FamilyLabel) -> tuple[str, ...]:
     return _IDENTITY_SETS[3] + ("BtB+BBt=4I4", "BB=0")
 
 
+def _block_entries(blocks: BlockSet) -> tuple:
+    """Nonzero entries (row, col, sign) of a, b, the upper triangle of c, and d."""
+
+    def nonzero(m):
+        return tuple((int(r), int(c), int(m[r, c])) for r, c in zip(*np.nonzero(m)))
+
+    return nonzero(blocks.a), nonzero(blocks.b), nonzero(np.triu(blocks.c, 1)), nonzero(blocks.d)
+
+
+_CANONICAL_ENTRIES = _block_entries(canonical_blocks())
+
+
+def _block_arcs(label: FamilyLabel, blocks: tuple) -> tuple[int, list[tuple[int, int]]]:
+    """Order and arcs of the block-tridiagonal skew matrix of gi(i)/hj(j).
+
+    blocks holds the nonzero entries from _block_entries. The superdiagonal
+    blocks are A, then B repeated, then D for hj; gi ends in the skew block C
+    on the diagonal instead. Entry +1 at (r, c) is the arc r -> c, and -1 the
+    arc c -> r; the subdiagonal is the negated transpose, so it adds nothing.
+    """
+    a, b, c, d = blocks
+    if label.kind == "gi":
+        dims = [2] + [4] * (label.param + 1)
+        supers = [a] + [b] * label.param
+    else:
+        dims = [2] + [4] * label.param + [2]
+        supers = [a] + [b] * (label.param - 1) + [d]
+    arcs = []
+    row = 0
+    for dim, entries in zip(dims, supers):
+        col = row + dim
+        arcs += [(row + x, col + y) if s > 0 else (col + y, row + x) for x, y, s in entries]
+        row = col
+    if label.kind == "gi":
+        arcs += [(row + x, row + y) if s > 0 else (row + y, row + x) for x, y, s in c]
+    return row + dims[-1], arcs
+
+
 def block_skew_matrix(label: FamilyLabel, blocks: BlockSet | None = None) -> np.ndarray:
     """Block-tridiagonal skew matrix of gi(i)/hj(j) from a validated BlockSet.
 
     Any block set satisfying the identities required for the label yields a
     Gram of exactly 4I; failing identities raise ValueError before assembly.
+    With the canonical blocks this is the skew adjacency of orient_family.
     """
     if label.kind not in _PARAM_KINDS:
         raise ValueError(f"block construction applies to gi/hj only, got {label}")
@@ -221,28 +255,11 @@ def block_skew_matrix(label: FamilyLabel, blocks: BlockSet | None = None) -> np.
     if label.kind == "gi" and not np.array_equal(blocks.c.T, -blocks.c):
         raise ValueError("diagonal block c must be skew-symmetric")
 
-    if label.kind == "gi":
-        dims = [2] + [4] * (label.param + 1)
-        supers = [blocks.a] + [blocks.b] * label.param
-    else:
-        dims = [2] + [4] * label.param + [2]
-        supers = [blocks.a] + [blocks.b] * (label.param - 1) + [blocks.d]
-    offs = [0]
-    for dim in dims:
-        offs.append(offs[-1] + dim)
-    n = offs[-1]
-    m = np.zeros((n, n), dtype=np.int64)
-    for idx, blk in enumerate(supers):
-        r, c = offs[idx], offs[idx + 1]
-        m[r:r + dims[idx], c:c + dims[idx + 1]] = blk
-        m[c:c + dims[idx + 1], r:r + dims[idx]] = -blk.T
-    if label.kind == "gi":
-        r = offs[-2]
-        m[r:, r:] = blocks.c
-
-    if not np.array_equal(gram(m), 4 * np.eye(n, dtype=np.int64)):
+    n, arcs = _block_arcs(label, _block_entries(blocks))
+    og = OrientedGraph(Graph(n, arcs), arcs)
+    if not is_optimum(og, 4):
         raise RuntimeError(f"assembled matrix for {label} has a non-4I Gram")
-    return m
+    return skew_adjacency(og)
 
 
 # ---------------------------------------------------------------------------
@@ -299,133 +316,6 @@ def _from_names(order, name_pairs) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the two ladder sequences: vertex orderings, edge and arc recursions
-# ---------------------------------------------------------------------------
-
-def _gi_order(i: int) -> list[str]:
-    names = ["u", "v"]
-    for t in range(1, i + 2):
-        names += [f"u{2 * t - 1}", f"u{2 * t}", f"v{2 * t - 1}", f"v{2 * t}"]
-    return names
-
-
-def _hj_order(j: int) -> list[str]:
-    names = ["u", "v"]
-    for t in range(1, j + 1):
-        names += [f"u{2 * t - 1}", f"u{2 * t}", f"v{2 * t - 1}", f"v{2 * t}"]
-    names += [f"u{2 * j + 1}", f"u{2 * j + 2}"]
-    return names
-
-
-def _norm_pair(pair):
-    x, y = pair
-    return (x, y) if x <= y else (y, x)
-
-
-def _gi_removed_cycle(t: int) -> set:
-    # the inner 4-cycle of the previous step, torn open when level t arrives
-    a, b = f"u{2 * t - 1}", f"u{2 * t}"
-    c, d = f"v{2 * t - 1}", f"v{2 * t}"
-    return {_norm_pair(p) for p in ((a, d), (d, b), (b, c), (c, a))}
-
-
-def _gi_step_arcs(t: int) -> list[tuple[str, str]]:
-    uo, ue = f"u{2 * t - 1}", f"u{2 * t}"
-    vo, ve = f"v{2 * t - 1}", f"v{2 * t}"
-    nu1, nu2 = f"u{2 * t + 1}", f"u{2 * t + 2}"
-    nv1, nv2 = f"v{2 * t + 1}", f"v{2 * t + 2}"
-    return [
-        (uo, nu1), (uo, nu2), (nu1, ue), (nu2, ue),
-        (vo, nv1), (vo, nv2), (nv1, ve), (nv2, ve),
-        (nu1, nv2), (nv2, nu2), (nu2, nv1), (nv1, nu1),
-    ]
-
-
-_GI_BASE_ARCS = [
-    ("u", "u1"), ("u", "u2"), ("u", "v1"), ("u", "v2"),
-    ("v", "u1"), ("v", "u2"), ("v1", "v"), ("v2", "v"),
-    ("u1", "u3"), ("u1", "u4"), ("u3", "u2"), ("u4", "u2"),
-    ("v1", "v3"), ("v1", "v4"), ("v3", "v2"), ("v4", "v2"),
-    ("v3", "u3"), ("u3", "v4"), ("u4", "v3"), ("v4", "u4"),
-]
-
-
-def _gi_named_arcs(i: int) -> list[tuple[str, str]]:
-    arcs = list(_GI_BASE_ARCS)
-    for t in range(2, i + 1):
-        gone = _gi_removed_cycle(t)
-        arcs = [arc for arc in arcs if _norm_pair(arc) not in gone]
-        arcs += _gi_step_arcs(t)
-    return arcs
-
-
-def _gi_named_edges(i: int) -> set:
-    edges = {_norm_pair(arc) for arc in _GI_BASE_ARCS}
-    for t in range(2, i + 1):
-        gone = _gi_removed_cycle(t)
-        missing = gone - edges
-        if missing:
-            raise RuntimeError(f"ladder step {t} removes absent edges {missing}")
-        edges -= gone
-        edges |= {_norm_pair(arc) for arc in _gi_step_arcs(t)}
-    return edges
-
-
-_HJ_BASE_ARCS = [
-    ("u", "u1"), ("u", "u2"), ("u", "v1"), ("u", "v2"),
-    ("v", "u1"), ("v", "u2"), ("v1", "v"), ("v2", "v"),
-    ("u3", "u1"), ("u1", "u4"), ("u2", "u3"), ("u4", "u2"),
-    ("u3", "v1"), ("u4", "v1"), ("v2", "u3"), ("v2", "u4"),
-]
-
-
-def _hj_dropped(t: int) -> tuple[set, set]:
-    # edges deleted outright vs edges kept but re-oriented at step t
-    vo, ve = f"v{2 * t - 3}", f"v{2 * t - 2}"
-    uo, ue = f"u{2 * t - 1}", f"u{2 * t}"
-    po, pe = f"u{2 * t - 3}", f"u{2 * t - 2}"
-    deleted = {_norm_pair(p) for p in ((vo, uo), (vo, ue), (ve, uo), (ve, ue))}
-    reoriented = {_norm_pair(p) for p in ((po, uo), (po, ue), (pe, uo), (pe, ue))}
-    return deleted, reoriented
-
-
-def _hj_step_arcs(t: int) -> list[tuple[str, str]]:
-    po, pe = f"u{2 * t - 3}", f"u{2 * t - 2}"
-    qo, qe = f"v{2 * t - 3}", f"v{2 * t - 2}"
-    uo, ue = f"u{2 * t - 1}", f"u{2 * t}"
-    vo, ve = f"v{2 * t - 1}", f"v{2 * t}"
-    nu1, nu2 = f"u{2 * t + 1}", f"u{2 * t + 2}"
-    return [
-        (po, uo), (po, ue), (uo, pe), (ue, pe),
-        (qo, vo), (qo, ve), (vo, qe), (ve, qe),
-        (nu1, uo), (uo, nu2), (ue, nu1), (nu2, ue),
-        (nu1, vo), (nu2, vo), (ve, nu1), (ve, nu2),
-    ]
-
-
-def _hj_named_arcs(j: int) -> list[tuple[str, str]]:
-    arcs = list(_HJ_BASE_ARCS)
-    for t in range(2, j + 1):
-        deleted, reoriented = _hj_dropped(t)
-        gone = deleted | reoriented
-        arcs = [arc for arc in arcs if _norm_pair(arc) not in gone]
-        arcs += _hj_step_arcs(t)
-    return arcs
-
-
-def _hj_named_edges(j: int) -> set:
-    edges = {_norm_pair(arc) for arc in _HJ_BASE_ARCS}
-    for t in range(2, j + 1):
-        deleted, _ = _hj_dropped(t)
-        missing = deleted - edges
-        if missing:
-            raise RuntimeError(f"ladder step {t} removes absent edges {missing}")
-        edges -= deleted
-        edges |= {_norm_pair(arc) for arc in _hj_step_arcs(t)}
-    return edges
-
-
-# ---------------------------------------------------------------------------
 # hypercubes via the doubling construction
 # ---------------------------------------------------------------------------
 
@@ -477,7 +367,7 @@ def build_family(label: FamilyLabel) -> Graph:
         non = {tuple(sorted(_from_names(_G2_ORDER, (p,))[0])) for p in _G2_NON_EDGES}
         return Graph(6, [e for e in combinations(range(6), 2) if e not in non])
     if kind == "g3":
-        return Graph(14, _from_names(_G3_ORDER, [_norm_pair(a) for a in _G3_ARCS]))
+        return Graph(14, _from_names(_G3_ORDER, _G3_ARCS))
     if kind == "q4":
         return Graph(16, _hypercube_edges(4))
     if kind == "q3":
@@ -488,11 +378,8 @@ def build_family(label: FamilyLabel) -> Graph:
         return Graph(4, _C4_EDGES)
     if kind == "k4":
         return Graph(4, list(combinations(range(4), 2)))
-    if kind == "gi":
-        order = _gi_order(label.param)
-        return Graph(len(order), _from_names(order, _gi_named_edges(label.param)))
-    order = _hj_order(label.param)
-    return Graph(len(order), _from_names(order, _hj_named_edges(label.param)))
+    n, arcs = _block_arcs(label, _CANONICAL_ENTRIES)
+    return Graph(n, arcs)
 
 
 def orient_family(label: FamilyLabel) -> OrientedGraph:
@@ -511,16 +398,9 @@ def orient_family(label: FamilyLabel) -> OrientedGraph:
         og = OrientedGraph(build_family(label), _C4_ARCS)
     elif kind == "k4":
         og = OrientedGraph(build_family(label), _K4_ARCS)
-    elif kind == "gi":
-        order = _gi_order(label.param)
-        og = OrientedGraph(
-            build_family(label), _from_names(order, _gi_named_arcs(label.param))
-        )
     else:
-        order = _hj_order(label.param)
-        og = OrientedGraph(
-            build_family(label), _from_names(order, _hj_named_arcs(label.param))
-        )
+        n, arcs = _block_arcs(label, _CANONICAL_ENTRIES)
+        og = OrientedGraph(Graph(n, arcs), arcs)
     if not is_optimum(og, label.regularity):
         raise RuntimeError(f"constructed orientation of {label} failed the Gram check")
     return og

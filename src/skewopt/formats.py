@@ -12,6 +12,7 @@ from .graphs import Graph, OrientedGraph
 
 _G6_HEADER = ">>graph6<<"
 GRAPH6_ORDER_LIMIT = 1 << 18
+_PLUS_63 = bytes((b + 63) % 256 for b in range(256))
 
 
 class FormatError(ValueError):
@@ -89,19 +90,13 @@ def emit_graph6(g: Graph) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[i:i + 6]:
-            val = (val << 1) | bit
-        body.append(val + 63)
-    return head + bytes(body)
+    # bit v(v-1)/2 + u stands for the pair u < v; each byte holds six bits,
+    # the first in its high place, and is emitted as value + 63
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        bit = v * (v - 1) // 2 + u
+        body[bit // 6] |= 32 >> (bit % 6)
+    return head + body.translate(_PLUS_63)
 
 
 def parse_graph6_lines(data) -> list[Graph]:

@@ -5,7 +5,9 @@ package under test: exact rational characteristic polynomials with Sturm
 bisection instead of LAPACK eigensolvers, direct enumeration of all 2^m
 orientations instead of switching classes, labeled-graph backtracking with
 networkx isomorphism and automorphism counts instead of orderly generation,
-and a pair-by-pair common-neighbour count instead of adjacency bitsets.
+a pair-by-pair common-neighbour count instead of adjacency bitsets, and the
+named-vertex recursion for the ladder families gi/hj instead of the paper's
+block matrices.
 """
 
 from __future__ import annotations
@@ -372,3 +374,150 @@ def neighbor_parity_violations(n: int, edges, mode: str) -> tuple:
             if bad:
                 violations.append((u, v, count, adjacent))
     return tuple(violations)
+
+
+# ---------------------------------------------------------------------------
+# the two ladder sequences by the named-vertex recursion: each step tears
+# open the previous inner 4-cycle (gi) or re-wires the last rung (hj)
+# ---------------------------------------------------------------------------
+
+
+def _gi_order(i: int) -> list[str]:
+    names = ["u", "v"]
+    for t in range(1, i + 2):
+        names += [f"u{2 * t - 1}", f"u{2 * t}", f"v{2 * t - 1}", f"v{2 * t}"]
+    return names
+
+
+def _hj_order(j: int) -> list[str]:
+    names = ["u", "v"]
+    for t in range(1, j + 1):
+        names += [f"u{2 * t - 1}", f"u{2 * t}", f"v{2 * t - 1}", f"v{2 * t}"]
+    names += [f"u{2 * j + 1}", f"u{2 * j + 2}"]
+    return names
+
+
+def _norm_pair(pair):
+    x, y = pair
+    return (x, y) if x <= y else (y, x)
+
+
+def _gi_removed_cycle(t: int) -> set:
+    # the inner 4-cycle of the previous step, torn open when level t arrives
+    a, b = f"u{2 * t - 1}", f"u{2 * t}"
+    c, d = f"v{2 * t - 1}", f"v{2 * t}"
+    return {_norm_pair(p) for p in ((a, d), (d, b), (b, c), (c, a))}
+
+
+def _gi_step_arcs(t: int) -> list[tuple[str, str]]:
+    uo, ue = f"u{2 * t - 1}", f"u{2 * t}"
+    vo, ve = f"v{2 * t - 1}", f"v{2 * t}"
+    nu1, nu2 = f"u{2 * t + 1}", f"u{2 * t + 2}"
+    nv1, nv2 = f"v{2 * t + 1}", f"v{2 * t + 2}"
+    return [
+        (uo, nu1), (uo, nu2), (nu1, ue), (nu2, ue),
+        (vo, nv1), (vo, nv2), (nv1, ve), (nv2, ve),
+        (nu1, nv2), (nv2, nu2), (nu2, nv1), (nv1, nu1),
+    ]
+
+
+_GI_BASE_ARCS = [
+    ("u", "u1"), ("u", "u2"), ("u", "v1"), ("u", "v2"),
+    ("v", "u1"), ("v", "u2"), ("v1", "v"), ("v2", "v"),
+    ("u1", "u3"), ("u1", "u4"), ("u3", "u2"), ("u4", "u2"),
+    ("v1", "v3"), ("v1", "v4"), ("v3", "v2"), ("v4", "v2"),
+    ("v3", "u3"), ("u3", "v4"), ("u4", "v3"), ("v4", "u4"),
+]
+
+
+def _gi_named_arcs(i: int) -> list[tuple[str, str]]:
+    arcs = list(_GI_BASE_ARCS)
+    for t in range(2, i + 1):
+        gone = _gi_removed_cycle(t)
+        arcs = [arc for arc in arcs if _norm_pair(arc) not in gone]
+        arcs += _gi_step_arcs(t)
+    return arcs
+
+
+def _gi_named_edges(i: int) -> set:
+    edges = {_norm_pair(arc) for arc in _GI_BASE_ARCS}
+    for t in range(2, i + 1):
+        gone = _gi_removed_cycle(t)
+        missing = gone - edges
+        if missing:
+            raise RuntimeError(f"ladder step {t} removes absent edges {missing}")
+        edges -= gone
+        edges |= {_norm_pair(arc) for arc in _gi_step_arcs(t)}
+    return edges
+
+
+_HJ_BASE_ARCS = [
+    ("u", "u1"), ("u", "u2"), ("u", "v1"), ("u", "v2"),
+    ("v", "u1"), ("v", "u2"), ("v1", "v"), ("v2", "v"),
+    ("u3", "u1"), ("u1", "u4"), ("u2", "u3"), ("u4", "u2"),
+    ("u3", "v1"), ("u4", "v1"), ("v2", "u3"), ("v2", "u4"),
+]
+
+
+def _hj_dropped(t: int) -> tuple[set, set]:
+    # edges deleted outright vs edges kept but re-oriented at step t
+    vo, ve = f"v{2 * t - 3}", f"v{2 * t - 2}"
+    uo, ue = f"u{2 * t - 1}", f"u{2 * t}"
+    po, pe = f"u{2 * t - 3}", f"u{2 * t - 2}"
+    deleted = {_norm_pair(p) for p in ((vo, uo), (vo, ue), (ve, uo), (ve, ue))}
+    reoriented = {_norm_pair(p) for p in ((po, uo), (po, ue), (pe, uo), (pe, ue))}
+    return deleted, reoriented
+
+
+def _hj_step_arcs(t: int) -> list[tuple[str, str]]:
+    po, pe = f"u{2 * t - 3}", f"u{2 * t - 2}"
+    qo, qe = f"v{2 * t - 3}", f"v{2 * t - 2}"
+    uo, ue = f"u{2 * t - 1}", f"u{2 * t}"
+    vo, ve = f"v{2 * t - 1}", f"v{2 * t}"
+    nu1, nu2 = f"u{2 * t + 1}", f"u{2 * t + 2}"
+    return [
+        (po, uo), (po, ue), (uo, pe), (ue, pe),
+        (qo, vo), (qo, ve), (vo, qe), (ve, qe),
+        (nu1, uo), (uo, nu2), (ue, nu1), (nu2, ue),
+        (nu1, vo), (nu2, vo), (ve, nu1), (ve, nu2),
+    ]
+
+
+def _hj_named_arcs(j: int) -> list[tuple[str, str]]:
+    arcs = list(_HJ_BASE_ARCS)
+    for t in range(2, j + 1):
+        deleted, reoriented = _hj_dropped(t)
+        gone = deleted | reoriented
+        arcs = [arc for arc in arcs if _norm_pair(arc) not in gone]
+        arcs += _hj_step_arcs(t)
+    return arcs
+
+
+def _hj_named_edges(j: int) -> set:
+    edges = {_norm_pair(arc) for arc in _HJ_BASE_ARCS}
+    for t in range(2, j + 1):
+        deleted, _ = _hj_dropped(t)
+        missing = deleted - edges
+        if missing:
+            raise RuntimeError(f"ladder step {t} removes absent edges {missing}")
+        edges -= deleted
+        edges |= {_norm_pair(arc) for arc in _hj_step_arcs(t)}
+    return edges
+
+
+def ladder_arcs(kind: str, index: int) -> tuple:
+    """(n, arcs) of gi(index) or hj(index) in the fixed vertex ordering u, v,
+    u1, u2, v1, v2, ..., built by the named-vertex recursion rather than from
+    the block matrices. The arcs must cover the recursion's edge set exactly."""
+    if kind == "gi":
+        order = _gi_order(index)
+        arcs, edges = _gi_named_arcs(index), _gi_named_edges(index)
+    elif kind == "hj":
+        order = _hj_order(index)
+        arcs, edges = _hj_named_arcs(index), _hj_named_edges(index)
+    else:
+        raise ValueError(f"ladder kind must be gi or hj, got {kind!r}")
+    if {_norm_pair(arc) for arc in arcs} != edges or len(arcs) != len(edges):
+        raise RuntimeError(f"{kind}({index}): the arc and edge recursions disagree")
+    index_of = {name: i for i, name in enumerate(order)}
+    return len(order), [(index_of[x], index_of[y]) for x, y in arcs]

@@ -134,6 +134,18 @@ def test_generate_rejects_orders_graph6_cannot_hold(capsysbinary):
     assert capsysbinary.readouterr().out == b""
 
 
+def test_generate_oriented_json_above_the_arclist_limit_exits_three(capsysbinary):
+    # hj(500) has 2004 vertices; the JSON energy would take the SVD of a
+    # dense 2004 x 2004 matrix, so the order is checked before building
+    start = time.perf_counter()
+    assert run(["generate", "--family", "hj(500)", "--oriented",
+                "--format", "json"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert str(ARCLIST_ORDER_LIMIT).encode("ascii") in captured.err
+
+
 def test_classify_large_relabeled_member(tmp_path, capsysbinary):
     # hj(300) has 1204 vertices; a matcher recursing once per vertex would
     # overflow the interpreter stack here

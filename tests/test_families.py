@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from oracles import ladder_arcs
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, BlockSet, FamilyLabel, block_skew_matrix,
     build_family, canonical_blocks, check_block_identities,
@@ -244,15 +245,27 @@ def test_block_skew_matrix_shapes_and_grams():
         block_skew_matrix(G1)
 
 
+def ladder_matrix(kind: str, index: int) -> np.ndarray:
+    """Skew-adjacency matrix of the oracle's named-vertex recursion."""
+    n, arcs = ladder_arcs(kind, index)
+    m = np.zeros((n, n), dtype=np.int64)
+    for t, h in arcs:
+        m[t, h], m[h, t] = 1, -1
+    return m
+
+
 def test_block_matrix_agrees_with_recursive_orientation():
-    for i in range(1, 4):
-        assert np.array_equal(
-            block_skew_matrix(gi(i)), skew_adjacency(orient_family(gi(i)))
-        )
-    for j in range(1, 4):
-        assert np.array_equal(
-            block_skew_matrix(hj(j)), skew_adjacency(orient_family(hj(j)))
-        )
+    for kind, make in (("gi", gi), ("hj", hj)):
+        for index in range(1, 41):
+            label = make(index)
+            n, arcs = ladder_arcs(kind, index)
+            edges = tuple(sorted((min(t, h), max(t, h)) for t, h in arcs))
+            g = build_family(label)
+            og = orient_family(label)
+            assert (g.n, g.edges) == (n, edges), str(label)
+            assert (og.base.n, og.base.edges) == (n, edges), str(label)
+            assert og.arcs == tuple(sorted(arcs)), str(label)
+            assert np.array_equal(block_skew_matrix(label), ladder_matrix(kind, index))
 
 
 def test_block_substitution_row_permuted_b():

@@ -35,7 +35,9 @@ def test_graph6_header_and_whitespace():
 
 
 def test_graph6_round_trip_on_members():
-    for label in (K2, C4, G1, G3, Q4, gi(1), gi(3), hj(2), hj(4)):
+    # hj(30) (n=124) takes the long order field, hj(499) (n=2000) is the
+    # largest member the arc-list commands accept
+    for label in (K2, C4, G1, G3, Q4, gi(1), gi(3), hj(2), hj(4), hj(30), hj(499)):
         g = build_family(label)
         assert parse_graph6(emit_graph6(g)) == g
 
