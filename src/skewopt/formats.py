@@ -8,11 +8,16 @@ guessing, because census inputs must be trustworthy.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .graphs import Graph, OrientedGraph
 
 _G6_HEADER = ">>graph6<<"
 GRAPH6_ORDER_LIMIT = 1 << 18
 _PLUS_63 = bytes((b + 63) % 256 for b in range(256))
+_G6_OUT_OF_RANGE = re.compile(rb"[^?-~]")  # bytes outside 63..126
+_G6_NONZERO = re.compile(rb"[^?]")  # bytes holding a set bit
 
 
 class FormatError(ValueError):
@@ -47,7 +52,7 @@ def parse_graph6(data) -> Graph:
     if not text:
         raise FormatError("empty graph6 record")
     raw = text.encode("ascii")
-    if any(b < 63 or b > 126 for b in raw):
+    if _G6_OUT_OF_RANGE.search(raw):
         raise FormatError("graph6 bytes must lie in 63..126")
     if raw[0] == 126:
         if len(raw) < 4:
@@ -65,19 +70,19 @@ def parse_graph6(data) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise FormatError(f"graph6 body for n={n} needs {nbytes} bytes, got {len(body)}")
-    bits = []
-    for b in body:
-        val = b - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    if nbytes and (body[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise FormatError("nonzero padding bits")
+    # bit 6i + j is bit j, from the high end, of byte i and stands for the
+    # pair u < v with v(v-1)/2 + u == bit; only bytes with a set bit are read
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    for hit in _G6_NONZERO.finditer(body):
+        i = hit.start()
+        val = body[i] - 63
+        for j in range(6):
+            if val & (32 >> j):
+                bit = 6 * i + j
+                v = (1 + isqrt(8 * bit + 1)) // 2
+                edges.append((bit - v * (v - 1) // 2, v))
     return Graph(n, edges)
 
 

@@ -243,16 +243,28 @@ def enumerate_connected_k_regular(n: int, k: int):
     lexicographically smaller subset with the same fresh count at v; the
     search reaches that one first.
 
-    Degree cut: on entering v, every vertex below v is saturated, so an
-    unsaturated touched vertex w >= v can still be joined only to the
-    untouched vertices and to the other unsaturated touched vertices >= v
-    it is not yet adjacent to. If its deficit exceeds their number, no
-    completion lies below, and the node returns at once.
+    Root-edge cut: vertex 1 takes k-1-c fresh vertices, c the number of
+    common neighbours of the edge (0, 1), and fresh counts are tried in
+    increasing order. Any edge (a, b) of a completion can be relabeled as
+    (0, 1), the rest in first-touch order, which gives an isomorphic
+    completion of the unpruned search whose c is the common-neighbour count
+    of (a, b); the twin prune keeps the fresh count at every vertex. So the
+    first completion of a class has the largest common-neighbour count of
+    any of its edges at (0, 1). Once both ends of an edge are saturated its
+    count is final, and a node where it exceeds that of (0, 1) is cut; only
+    the edges at vertices saturated since the parent need checking.
 
-    The twin prune removes no first completion of a class, the degree cut
-    no completion at all, and a first-round bucket rejects exactly the
-    completions that full refinement did, so the yielded graphs, their
-    labels and their order are those of the unpruned search.
+    Degree cut: on entering v, every vertex below v is saturated and no two
+    vertices >= v are adjacent yet (edges are added only at the vertex being
+    finished), so an unsaturated touched vertex w >= v can still be joined
+    to the untouched vertices and to the other unsaturated touched vertices.
+    If some deficit exceeds their number, no completion lies below.
+
+    The twin prune and the root-edge cut remove no first completion of a
+    class, the degree cut no completion at all, and a first-round bucket
+    rejects exactly the completions that full refinement did, so the yielded
+    graphs, their labels and their order are those of the unpruned search.
+    Both cuts are tested before a child node is entered.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -276,9 +288,24 @@ def enumerate_connected_k_regular(n: int, k: int):
     # first-round signature list -> match plans of the classes kept with it
     buckets: dict[tuple, list] = {}
 
+    def cut(v: int, next_fresh: int, settled: list[int]) -> bool:
+        """Whether no first completion of a class lies below the node that
+        finishes v next (every vertex below v saturated, those below
+        next_fresh touched); `settled` became saturated on the way in."""
+        root = (adj[0] & adj[1]).bit_count()
+        for s in settled:
+            for t in around[s]:
+                if not deficit[t] and (adj[s] & adj[t]).bit_count() > root:
+                    return True  # root-edge cut
+        if v == n:
+            return False
+        if v == next_fresh:
+            return True  # untouched vertex: the finished part is sealed off
+        # degree cut; no two of these are adjacent yet
+        open_deficits = [deficit[w] for w in range(v, next_fresh) if deficit[w]]
+        return max(open_deficits) >= n - next_fresh + len(open_deficits)
+
     def complete(v: int, next_fresh: int):
-        while v < n and not deficit[v]:
-            v += 1
         if v == n:
             colours, signatures = next(_rounds(adj, around))
             kept = buckets.setdefault(tuple(signatures), [])
@@ -286,17 +313,8 @@ def enumerate_connected_k_regular(n: int, k: int):
                 kept.append(match_plan(adj, colours))
                 yield Graph(n, [(u, w) for u in range(n) for w in around[u] if u < w])
             return
-        if v > 0 and v == next_fresh:
-            return  # untouched vertex: the finished part is already sealed off
         fresh_avail = n - next_fresh
         old = [w for w in range(v + 1, next_fresh) if deficit[w]]
-        unsaturated = 1 << v
-        for w in old:
-            unsaturated |= 1 << w
-        for w in (v, *old):
-            # degree cut; `unsaturated & ~adj[w]` counts w itself
-            if deficit[w] >= fresh_avail + (unsaturated & ~adj[w]).bit_count():
-                return
         # old vertices with the same neighbours so far are twins; a subset
         # may take a twin only together with the twin before it
         twins = []
@@ -318,14 +336,21 @@ def enumerate_connected_k_regular(n: int, k: int):
                 if twins and any(w in subset and b not in subset for w, b in twins):
                     continue
                 chosen = list(subset) + fresh
+                settled = [v]
                 for w in chosen:
                     deficit[w] -= 1
                     adj[w] |= bit
                     row |= 1 << w
                     around[w].append(v)
+                    if not deficit[w]:
+                        settled.append(w)
                 adj[v] = row
                 around[v] += chosen
-                yield from complete(v + 1, next_fresh + f)
+                u = v + 1
+                while u < n and not deficit[u]:
+                    u += 1
+                if not cut(u, next_fresh + f, settled):
+                    yield from complete(u, next_fresh + f)
                 for w in chosen:
                     deficit[w] += 1
                     adj[w] ^= bit

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
 import pytest
@@ -40,6 +41,20 @@ def test_graph6_round_trip_on_members():
     for label in (K2, C4, G1, G3, Q4, gi(1), gi(3), hj(2), hj(4), hj(30), hj(499)):
         g = build_family(label)
         assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_graph6_parse_reads_only_set_bits():
+    # hj(499) (n=2000) has 4000 edges among 1,999,000 pairs; a parser that
+    # looks at every pair took about 0.5 s, one that walks the set bits 10 ms
+    g = build_family(hj(499))
+    blob = emit_graph6(g)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        parsed = parse_graph6(blob)
+        best = min(best, time.perf_counter() - start)
+        assert parsed == g
+    assert best < 0.15
 
 
 def test_graph6_round_trip_on_enumerated_corpus():

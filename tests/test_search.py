@@ -217,12 +217,14 @@ def test_enumeration_and_census_bytes_are_pinned(capsysbinary):
     # sha256 of the graph6 lines yielded for n = 1..top, and of the census
     # report, as the search printed them before it skipped twin-symmetric
     # branches; (4, 11) was taken later, with the twin prune but before the
-    # first-round buckets and the degree cut. The bound holds only with the
-    # twin prune (about 30 s without)
+    # first-round buckets and the degree cut, and (4, 12) before the
+    # root-edge cut. The bound holds only with the twin prune and the
+    # root-edge cut (about 24 s without the latter)
     expected = {
         (3, 12): "b9c43465470bc59ab9add85428dae63af1a3e2949fa465e5c4f2bb08330e9d05",
         (4, 10): "5bdf21b2434a848e49bd5209c811f19f645a4af7cd490974185fa1e0d82d84f8",
         (4, 11): "33049e10dfd4de515655e35267064c2dcb32fc67e4ec09d8891856abb0ea1bfc",
+        (4, 12): "7541d69dca9e3e0a706cc1123536db49e01804c278570400e8a61cc1167fbde9",
         (5, 10): "4148fd27cc7274f4a5d2768ac3f249ce1129cc320e4c09ad39611dba4a004feb",
         (6, 10): "218dfad41b1168e758f19f3da0ca51ed295ebf46856f5d4198144cf571a4b719",
     }
@@ -230,14 +232,39 @@ def test_enumeration_and_census_bytes_are_pinned(capsysbinary):
     for (k, top), want in expected.items():
         digest = hashlib.sha256()
         for n in range(1, top + 1):
+            count = 0
             for g in enumerate_connected_k_regular(n, k):
                 digest.update(emit_graph6(g) + b"\n")
+                count += 1
         assert digest.hexdigest() == want, (k, top)
+        if (k, top) == (4, 12):
+            assert count == 1544  # A006820
     assert time.perf_counter() - start < 10.0
     assert run(["census", "--max-n", "10", "--k", "4"]) == 0
     out = capsysbinary.readouterr().out
     assert hashlib.sha256(out).hexdigest() == (
         "8b792706e8ebe4715d419b2040a9ae0fc512875db76043a1d2bf25321a765c98")
+
+
+def test_first_edge_has_the_most_common_neighbours():
+    # the root-edge cut keeps only completions whose edge (0, 1) has the
+    # largest common-neighbour count of any edge; the search yielded such
+    # representatives before the cut existed, which this checks on plain
+    # neighbour sets
+    checked = 0
+    for k, top in ((3, 12), (4, 11), (5, 10), (6, 10)):
+        for n in range(1, top + 1):
+            for g in enumerate_connected_k_regular(n, k):
+                nbrs = [set() for _ in range(n)]
+                for u, v in g.edges:
+                    nbrs[u].add(v)
+                    nbrs[v].add(u)
+                assert 1 in nbrs[0], (k, n)
+                root = len(nbrs[0] & nbrs[1])
+                assert all(len(nbrs[u] & nbrs[v]) <= root for u, v in g.edges), (
+                    k, n, emit_graph6(g))
+                checked += 1
+    assert checked == 112 + 350 + 64 + 27  # classes of orders up to top
 
 
 def circulant(n: int, a: int, b: int) -> Graph:
