@@ -4,10 +4,10 @@ classification of the 4-regular case."""
 
 from __future__ import annotations
 
-from .classify import Classification, candidate_members, classify, isomorphic
+from .classify import Classification, classify, isomorphic
 from .families import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, BlockSet, FamilyLabel, block_skew_matrix,
-    build_family, canonical_blocks, check_block_identities,
+    build_family, candidate_members, canonical_blocks, check_block_identities,
     doubling_skew_matrix, family_order, gi, hj, orient_family,
 )
 from .formats import (

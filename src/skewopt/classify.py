@@ -3,8 +3,9 @@ k = 1..4.
 
 A connected 4-regular graph admits an optimum orientation exactly when it is
 isomorphic to one of the known members, so classification reduces to
-isomorphism tests against the candidates whose order matches.  For k <= 3
-the members are K2, C4, K4 and Q3; there is no catalogue for k >= 5.
+isomorphism tests against the candidates whose order matches
+(`families.candidate_members`, which also holds the members for k <= 3);
+there is no catalogue for k >= 5.
 
 The isomorphism engine works on adjacency bitsets (one Python int per
 vertex). Colour refinement splits the vertices from local invariants, and
@@ -24,10 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .families import (
-    C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, build_family, family_order,
-    gi, hj,
-)
+from .families import FamilyLabel, build_family, candidate_members
 from .graphs import Graph
 
 
@@ -201,31 +199,6 @@ def isomorphic(g: Graph, h: Graph):
             return None
     mapping = match(match_plan(g_adj, g_round[0]), h_adj, h_round[0])
     return None if mapping is None else tuple(mapping)
-
-
-_SMALL_DEGREE_MEMBERS = {1: (K2,), 2: (C4,), 3: (K4, Q3)}
-
-
-def candidate_members(n: int, k: int = 4) -> list[FamilyLabel]:
-    """All k-regular family labels whose member has exactly n vertices."""
-    if k in _SMALL_DEGREE_MEMBERS:
-        return [label for label in _SMALL_DEGREE_MEMBERS[k] if family_order(label) == n]
-    if k != 4:
-        raise ValueError(f"no catalogue of {k}-regular members")
-    labels = []
-    if n == 6:
-        labels.append(G2)
-    if n == 8:
-        labels.append(G1)
-    if n == 14:
-        labels.append(G3)
-    if n == 16:
-        labels.append(Q4)
-    if n >= 10 and n % 4 == 2:
-        labels.append(gi((n - 6) // 4))
-    if n >= 8 and n % 4 == 0:
-        labels.append(hj((n - 4) // 4))
-    return labels
 
 
 def classify(g: Graph, k: int = 4) -> Classification:

@@ -2,8 +2,9 @@
 
 Subcommands: generate, verify, energy, search, classify, census.
 Exit codes: 0 success, 1 negative answer under --strict, 2 unreadable or
-malformed input, 3 invalid arguments (an empty graph, or an arc list above
-ARCLIST_ORDER_LIMIT vertices, among them).
+malformed input, 3 invalid arguments (an empty graph, an arc list above
+ARCLIST_ORDER_LIMIT vertices, or a generate label of order GRAPH6_ORDER_LIMIT
+or more, among them).
 Reports are JSON with a fixed key order and floats printed to 12 significant
 digits, so identical runs produce byte-identical output.
 """
@@ -154,9 +155,8 @@ def _json_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2) + "\n").encode("ascii")
 
 
-def _parity_violations(g: Graph, k: int) -> list:
-    mode = "four-regular" if k == 4 and g.is_regular(4) else "general-even"
-    report = neighbor_parity_report(g, mode)
+def _parity_violations(g: Graph) -> list:
+    report = neighbor_parity_report(g)
     return [[u, v, count, adj] for u, v, count, adj in report.violations]
 
 
@@ -193,17 +193,17 @@ def _cmd_generate(cfg: RunConfig) -> int:
         raise _UsageError("graph6 cannot carry an orientation; use arcs or json")
     if not cfg.oriented and fmt == "arcs":
         raise _UsageError("arc-list output needs --oriented")
-    # checked before building, which takes seconds at this size
-    if fmt == "graph6" and family_order(label) >= GRAPH6_ORDER_LIMIT:
+    # checked before building, which takes seconds near the graph6 bound and
+    # runs out of memory beyond it, whatever the format
+    n = family_order(label)
+    if n >= GRAPH6_ORDER_LIMIT:
         raise _UsageError(
-            f"{label} has {family_order(label)} vertices; graph6 orders "
-            f"stop below {GRAPH6_ORDER_LIMIT}"
+            f"{label} has {n} vertices; generated orders stop below {GRAPH6_ORDER_LIMIT}"
         )
     # the JSON report's energy takes the SVD of the dense n x n matrix S
-    if cfg.oriented and fmt == "json" and family_order(label) > ARCLIST_ORDER_LIMIT:
+    if cfg.oriented and fmt == "json" and n > ARCLIST_ORDER_LIMIT:
         raise _UsageError(
-            f"{label} has {family_order(label)} vertices; oriented JSON reports "
-            f"stop at {ARCLIST_ORDER_LIMIT}"
+            f"{label} has {n} vertices; oriented JSON reports stop at {ARCLIST_ORDER_LIMIT}"
         )
     if cfg.oriented:
         og = orient_family(label)
@@ -240,7 +240,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     report = _graph_report(og.base, cfg.k)
     report.update(_spectral_fields(og, cfg.k))
     report.update(_classification_field(og.base))
-    report["violations"] = _parity_violations(og.base, cfg.k)
+    report["violations"] = _parity_violations(og.base)
     report["optimum"] = report["gram_is_kI"]
     _write(cfg, _json_bytes(report))
     return 1 if cfg.strict and not report["optimum"] else 0
@@ -261,7 +261,7 @@ def _cmd_search(cfg: RunConfig) -> int:
     witness = find_optimum_orientation(g, cfg.k)
     report = _graph_report(g, cfg.k)
     report.update(_classification_field(g))
-    report["violations"] = _parity_violations(g, cfg.k)
+    report["violations"] = _parity_violations(g)
     if witness is None:
         report["optimum_orientation"] = None
     else:

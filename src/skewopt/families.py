@@ -3,12 +3,17 @@
 the block-matrix machinery behind the two infinite sequences.
 
 Family labels:
-  g1, g2     sporadic 4-regular members containing triangles (8 and 6 vertices)
-  g3         sporadic triangle-free 4-regular member (14 vertices)
-  q4         the 4-dimensional hypercube (16 vertices)
+  g1, g2     sporadic 4-regular members containing triangles
+  g3         sporadic triangle-free 4-regular member
+  q4         the 4-dimensional hypercube
   gi(i)      ladder-like 4-regular sequence, 4i+6 vertices
   hj(j)      ladder-like 4-regular sequence, 4j+4 vertices; hj(1) = K_{4,4}
-  k2, c4, k4, q3   the optimum-orientable graphs for degrees 1, 2, 3
+  k2, c4, k4, q3   the optimum-orientable graphs of degree below 4
+
+The table _FIXED is the one place a fixed member is stated: its order, its
+degree and its canonical arcs, whose pairs are its edges. Label validation,
+family_order, candidate_members, build_family and orient_family all read it;
+gi(i) and hj(j) come from the block assembly _block_arcs instead.
 
 Every constructor fixes a vertex ordering, so the skew-adjacency matrices are
 reproducible byte for byte.
@@ -17,7 +22,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 import re
 
 import numpy as np
@@ -25,15 +29,89 @@ import numpy as np
 from .graphs import Graph, OrientedGraph
 from .matrices import int_matrix, is_optimum, skew_adjacency
 
-_FIXED_KINDS = ("g1", "g2", "g3", "q4", "k2", "c4", "k4", "q3")
+# ---------------------------------------------------------------------------
+# fixed members: named vertex orderings and canonical arcs, one table
+# ---------------------------------------------------------------------------
+
+_G1_ORDER = ("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4")
+_G1_ARCS = (
+    ("u1", "u2"), ("u1", "u3"), ("u1", "u4"), ("u1", "v1"),
+    ("u3", "u2"), ("u2", "u4"), ("u2", "v2"),
+    ("u4", "u3"), ("u3", "v3"),
+    ("u4", "v4"),
+    ("v2", "v1"), ("v3", "v1"), ("v4", "v1"),
+    ("v2", "v3"), ("v4", "v2"),
+    ("v3", "v4"),
+)
+
+_G2_ORDER = ("u1", "u2", "u3", "u4", "u5", "u6")
+_G2_ARCS = (
+    ("u1", "u2"), ("u1", "u3"), ("u1", "u4"), ("u1", "u5"),
+    ("u3", "u2"), ("u2", "u5"), ("u6", "u2"),
+    ("u4", "u3"), ("u3", "u6"),
+    ("u5", "u4"), ("u6", "u4"),
+    ("u5", "u6"),
+)
+
+_G3_ORDER = ("u", "u1", "u2", "v1", "v2", "v", "u3", "u4", "v3", "v4", "w", "u5", "u6", "v5")
+_G3_ARCS = (
+    ("u", "u1"), ("u", "u2"), ("u", "v1"), ("u", "v2"),
+    ("u1", "v"), ("u1", "u3"), ("u1", "u4"),
+    ("v", "u2"), ("u2", "v3"), ("u2", "v4"),
+    ("u3", "v1"), ("v3", "v1"), ("v1", "w"),
+    ("u4", "v2"), ("v4", "v2"), ("w", "v2"),
+    ("v", "u5"), ("v", "u6"),
+    ("u5", "u3"), ("u3", "v5"),
+    ("u6", "u4"), ("v5", "u4"),
+    ("v3", "u6"), ("v5", "v3"),
+    ("v4", "u5"), ("v4", "v5"),
+    ("u5", "w"), ("w", "u6"),
+)
+
+
+def _from_names(order, name_pairs) -> tuple[tuple[int, int], ...]:
+    index = {name: i for i, name in enumerate(order)}
+    return tuple((index[x], index[y]) for x, y in name_pairs)
+
+
+def doubling_skew_matrix(d: int) -> np.ndarray:
+    """Skew matrix of the d-cube with Gram exactly d*I.
+
+    Level 1 is [[0,1],[-1,0]]; each doubling step embeds two opposite copies
+    joined by an identity block, which adds 1 to the Gram multiple.
+    """
+    if d < 1:
+        raise ValueError(f"doubling dimension must be >= 1, got {d}")
+    s = int_matrix([[0, 1], [-1, 0]])
+    for _ in range(d - 1):
+        n = s.shape[0]
+        eye = np.eye(n, dtype=np.int64)
+        s = np.block([[s, eye], [-eye, -s]])
+    return s
+
+
+def _doubling_arcs(d: int) -> tuple[tuple[int, int], ...]:
+    s = doubling_skew_matrix(d)
+    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(s == 1)))
+
+
+# kind -> (order, degree, canonical arcs). The c4 and k4 witnesses were found
+# once by exhaustive switching-class search over the standard labelings and
+# frozen here; orient_family re-checks the Gram exactly on every construction.
+_FIXED = {
+    "g1": (8, 4, _from_names(_G1_ORDER, _G1_ARCS)),
+    "g2": (6, 4, _from_names(_G2_ORDER, _G2_ARCS)),
+    "g3": (14, 4, _from_names(_G3_ORDER, _G3_ARCS)),
+    "q4": (16, 4, _doubling_arcs(4)),
+    "k2": (2, 1, _doubling_arcs(1)),
+    "c4": (4, 2, ((0, 1), (0, 3), (1, 2), (2, 3))),
+    "k4": (4, 3, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1))),
+    "q3": (8, 3, _doubling_arcs(3)),
+}
 _PARAM_KINDS = ("gi", "hj")
 
-_REGULARITY = {
-    "g1": 4, "g2": 4, "g3": 4, "q4": 4, "gi": 4, "hj": 4,
-    "k2": 1, "c4": 2, "k4": 3, "q3": 3,
-}
-
-_LABEL_RE = re.compile(r"^(gi|hj)\s*\(?\s*(\d+)\s*\)?$")
+# ASCII only: \d and \s would also take digits and spaces of other scripts
+_LABEL_RE = re.compile(r"^(gi|hj)\s*\(?\s*(\d+)\s*\)?$", re.ASCII)
 
 
 @dataclass(frozen=True, order=True)
@@ -44,7 +122,7 @@ class FamilyLabel:
     param: int | None = None
 
     def __post_init__(self):
-        if self.kind in _FIXED_KINDS:
+        if self.kind in _FIXED:
             if self.param is not None:
                 raise ValueError(f"label {self.kind!r} takes no parameter")
         elif self.kind in _PARAM_KINDS:
@@ -55,7 +133,7 @@ class FamilyLabel:
 
     @property
     def regularity(self) -> int:
-        return _REGULARITY[self.kind]
+        return _FIXED[self.kind][1] if self.kind in _FIXED else 4
 
     def __str__(self) -> str:
         if self.param is None:
@@ -64,8 +142,10 @@ class FamilyLabel:
 
     @classmethod
     def parse(cls, text: str) -> "FamilyLabel":
-        t = text.strip().lower()
-        if t in _FIXED_KINDS:
+        # non-ASCII text is refused whole: strip() would drop an em space
+        # around a label and lower() turns the Kelvin sign into k
+        t = text.strip().lower() if text.isascii() else ""
+        if t in _FIXED:
             return cls(t)
         m = _LABEL_RE.match(t)
         if m:
@@ -93,12 +173,26 @@ def hj(j: int) -> FamilyLabel:
 
 def family_order(label: FamilyLabel) -> int:
     """Number of vertices of the family member."""
-    fixed = {"g1": 8, "g2": 6, "g3": 14, "q4": 16, "k2": 2, "c4": 4, "k4": 4, "q3": 8}
-    if label.kind in fixed:
-        return fixed[label.kind]
     if label.kind == "gi":
         return 4 * label.param + 6
-    return 4 * label.param + 4
+    if label.kind == "hj":
+        return 4 * label.param + 4
+    return _FIXED[label.kind][0]
+
+
+def candidate_members(n: int, k: int = 4) -> list[FamilyLabel]:
+    """All k-regular family labels whose member has exactly n vertices:
+    the fixed members in table order, then gi, then hj."""
+    if k not in {degree for _, degree, _ in _FIXED.values()}:
+        raise ValueError(f"no catalogue of {k}-regular members")
+    labels = [FamilyLabel(kind) for kind, (order, degree, _) in _FIXED.items()
+              if (order, degree) == (n, k)]
+    if k == 4:
+        if n >= 10 and n % 4 == 2:
+            labels.append(gi((n - 6) // 4))
+        if n >= 8 and n % 4 == 0:
+            labels.append(hj((n - 4) // 4))
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -263,144 +357,26 @@ def block_skew_matrix(label: FamilyLabel, blocks: BlockSet | None = None) -> np.
 
 
 # ---------------------------------------------------------------------------
-# fixed members: named vertex orderings, edges, canonical arcs
-# ---------------------------------------------------------------------------
-
-_G1_ORDER = ("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4")
-_G1_ARCS = (
-    ("u1", "u2"), ("u1", "u3"), ("u1", "u4"), ("u1", "v1"),
-    ("u3", "u2"), ("u2", "u4"), ("u2", "v2"),
-    ("u4", "u3"), ("u3", "v3"),
-    ("u4", "v4"),
-    ("v2", "v1"), ("v3", "v1"), ("v4", "v1"),
-    ("v2", "v3"), ("v4", "v2"),
-    ("v3", "v4"),
-)
-
-_G2_ORDER = ("u1", "u2", "u3", "u4", "u5", "u6")
-_G2_NON_EDGES = (("u1", "u6"), ("u2", "u4"), ("u3", "u5"))
-_G2_ARCS = (
-    ("u1", "u2"), ("u1", "u3"), ("u1", "u4"), ("u1", "u5"),
-    ("u3", "u2"), ("u2", "u5"), ("u6", "u2"),
-    ("u4", "u3"), ("u3", "u6"),
-    ("u5", "u4"), ("u6", "u4"),
-    ("u5", "u6"),
-)
-
-_G3_ORDER = ("u", "u1", "u2", "v1", "v2", "v", "u3", "u4", "v3", "v4", "w", "u5", "u6", "v5")
-_G3_ARCS = (
-    ("u", "u1"), ("u", "u2"), ("u", "v1"), ("u", "v2"),
-    ("u1", "v"), ("u1", "u3"), ("u1", "u4"),
-    ("v", "u2"), ("u2", "v3"), ("u2", "v4"),
-    ("u3", "v1"), ("v3", "v1"), ("v1", "w"),
-    ("u4", "v2"), ("v4", "v2"), ("w", "v2"),
-    ("v", "u5"), ("v", "u6"),
-    ("u5", "u3"), ("u3", "v5"),
-    ("u6", "u4"), ("v5", "u4"),
-    ("v3", "u6"), ("v5", "v3"),
-    ("v4", "u5"), ("v4", "v5"),
-    ("u5", "w"), ("w", "u6"),
-)
-
-# degree-2 and degree-3 witnesses found once by exhaustive switching-class
-# search over the standard labelings and frozen here; orient_family re-checks
-# the Gram exactly on every construction
-_C4_EDGES = ((0, 1), (0, 3), (1, 2), (2, 3))
-_C4_ARCS = ((0, 1), (0, 3), (1, 2), (2, 3))
-_K4_ARCS = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1))
-
-
-def _from_names(order, name_pairs) -> list[tuple[int, int]]:
-    index = {name: i for i, name in enumerate(order)}
-    return [(index[x], index[y]) for x, y in name_pairs]
-
-
-# ---------------------------------------------------------------------------
-# hypercubes via the doubling construction
-# ---------------------------------------------------------------------------
-
-def doubling_skew_matrix(d: int) -> np.ndarray:
-    """Skew matrix of the d-cube with Gram exactly d*I.
-
-    Level 1 is [[0,1],[-1,0]]; each doubling step embeds two opposite copies
-    joined by an identity block, which adds 1 to the Gram multiple.
-    """
-    if d < 1:
-        raise ValueError(f"doubling dimension must be >= 1, got {d}")
-    s = int_matrix([[0, 1], [-1, 0]])
-    for _ in range(d - 1):
-        n = s.shape[0]
-        eye = np.eye(n, dtype=np.int64)
-        s = np.block([[s, eye], [-eye, -s]])
-    return s
-
-
-def _hypercube_edges(d: int) -> list[tuple[int, int]]:
-    return [
-        (x, x | (1 << b))
-        for x in range(1 << d)
-        for b in range(d)
-        if not x & (1 << b)
-    ]
-
-
-def _arcs_from_matrix(m: np.ndarray) -> list[tuple[int, int]]:
-    return [(int(i), int(j)) for i, j in zip(*np.nonzero(m == 1))]
-
-
-# ---------------------------------------------------------------------------
 # public constructors
 # ---------------------------------------------------------------------------
 
+def _member(label: FamilyLabel) -> tuple[int, tuple | list]:
+    """Order and canonical arcs of a family member."""
+    if label.kind in _FIXED:
+        n, _, arcs = _FIXED[label.kind]
+        return n, arcs
+    return _block_arcs(label, _CANONICAL_ENTRIES)
+
+
 def build_family(label: FamilyLabel) -> Graph:
     """The underlying graph of a family member, in its fixed vertex ordering."""
-    kind = label.kind
-    if kind == "g1":
-        # two 4-cliques joined by the matching u_i - v_i
-        edges = (
-            list(combinations(range(4), 2))
-            + list(combinations(range(4, 8), 2))
-            + [(i, i + 4) for i in range(4)]
-        )
-        return Graph(8, edges)
-    if kind == "g2":
-        non = {tuple(sorted(_from_names(_G2_ORDER, (p,))[0])) for p in _G2_NON_EDGES}
-        return Graph(6, [e for e in combinations(range(6), 2) if e not in non])
-    if kind == "g3":
-        return Graph(14, _from_names(_G3_ORDER, _G3_ARCS))
-    if kind == "q4":
-        return Graph(16, _hypercube_edges(4))
-    if kind == "q3":
-        return Graph(8, _hypercube_edges(3))
-    if kind == "k2":
-        return Graph(2, [(0, 1)])
-    if kind == "c4":
-        return Graph(4, _C4_EDGES)
-    if kind == "k4":
-        return Graph(4, list(combinations(range(4), 2)))
-    n, arcs = _block_arcs(label, _CANONICAL_ENTRIES)
-    return Graph(n, arcs)
+    return Graph(*_member(label))
 
 
 def orient_family(label: FamilyLabel) -> OrientedGraph:
     """The canonical optimum orientation; the Gram is re-checked exactly."""
-    kind = label.kind
-    if kind == "g1":
-        og = OrientedGraph(build_family(label), _from_names(_G1_ORDER, _G1_ARCS))
-    elif kind == "g2":
-        og = OrientedGraph(build_family(label), _from_names(_G2_ORDER, _G2_ARCS))
-    elif kind == "g3":
-        og = OrientedGraph(build_family(label), _from_names(_G3_ORDER, _G3_ARCS))
-    elif kind in ("q4", "q3", "k2"):
-        d = {"q4": 4, "q3": 3, "k2": 1}[kind]
-        og = OrientedGraph(build_family(label), _arcs_from_matrix(doubling_skew_matrix(d)))
-    elif kind == "c4":
-        og = OrientedGraph(build_family(label), _C4_ARCS)
-    elif kind == "k4":
-        og = OrientedGraph(build_family(label), _K4_ARCS)
-    else:
-        n, arcs = _block_arcs(label, _CANONICAL_ENTRIES)
-        og = OrientedGraph(Graph(n, arcs), arcs)
+    n, arcs = _member(label)
+    og = OrientedGraph(Graph(n, arcs), arcs)
     if not is_optimum(og, label.regularity):
         raise RuntimeError(f"constructed orientation of {label} failed the Gram check")
     return og

@@ -206,8 +206,7 @@ def find_optimum_orientation(g: Graph, k: int):
         raise ValueError(f"input must be {k}-regular")
     if not g.is_connected():
         raise ValueError("input must be connected")
-    mode = "four-regular" if k == 4 else "general-even"
-    if not neighbor_parity_report(g, mode).passed:
+    if not neighbor_parity_report(g).passed:
         return None
 
     tree_arcs, free = _switching_frame(g)

@@ -15,19 +15,16 @@ from dataclasses import dataclass
 from .graphs import Graph, OrientedGraph
 from .matrices import power, skew_adjacency
 
-PARITY_MODES = ("general-even", "four-regular")
-
 WALK_LENGTH_CAP = 8
 
 
 @dataclass(frozen=True)
 class NeighborhoodReport:
-    """Pairs whose common-neighbor count breaks the parity conditions.
+    """Pairs with an odd number of common neighbors.
 
     Each violation is (u, v, common_count, adjacent).
     """
 
-    mode: str
     violations: tuple[tuple[int, int, int, bool], ...]
 
     @property
@@ -49,19 +46,17 @@ class SignedWalkCount:
         return self.positive - self.negative
 
 
-def neighbor_parity_report(g: Graph, mode: str = "general-even") -> NeighborhoodReport:
-    """Check every vertex pair's common-neighbor count against the mode.
+def neighbor_parity_report(g: Graph) -> NeighborhoodReport:
+    """Every vertex pair with an odd number of common neighbors.
 
-    general-even: any odd count is a violation.
-    four-regular: adjacent pairs must have count in {0, 2}, non-adjacent
-    pairs in {0, 2, 4}; requires a 4-regular input.
+    An optimum orientation balances the signed 2-walks between any two
+    vertices, so their count is even. In a simple 4-regular graph an adjacent
+    pair shares at most 3 neighbors and a non-adjacent pair at most 4, so
+    evenness is exactly the paper's k = 4 condition: counts 0 or 2 for
+    adjacent pairs, 0, 2 or 4 for non-adjacent ones.
     """
-    if mode not in PARITY_MODES:
-        raise ValueError(f"mode must be one of {PARITY_MODES}, got {mode!r}")
-    if mode == "four-regular" and not g.is_regular(4):
-        raise ValueError("four-regular mode needs a 4-regular graph")
-    # only pairs at distance two share a neighbour, and a count of 0 breaks
-    # neither mode, so each u scans the bits above it in its 2-ball
+    # only pairs at distance two share a neighbour, and a count of 0 is even,
+    # so each u scans the bits above it in its 2-ball
     adj = [0] * g.n
     for u, v in g.edges:
         adj[u] |= 1 << v
@@ -77,16 +72,9 @@ def neighbor_parity_report(g: Graph, mode: str = "general-even") -> Neighborhood
             ball ^= low
             v = u + low.bit_length()
             count = (a & adj[v]).bit_count()
-            adjacent = bool(a >> v & 1)
-            if mode == "general-even":
-                bad = count % 2 != 0
-            elif adjacent:
-                bad = count not in (0, 2)
-            else:
-                bad = count not in (0, 2, 4)
-            if bad:
-                violations.append((u, v, count, adjacent))
-    return NeighborhoodReport(mode, tuple(violations))
+            if count & 1:
+                violations.append((u, v, count, bool(a >> v & 1)))
+    return NeighborhoodReport(tuple(violations))
 
 
 def signed_walk_counts(og: OrientedGraph, u: int, v: int, k: int) -> SignedWalkCount:

@@ -103,6 +103,15 @@ def test_candidate_members_by_order():
         assert len(labels) == len(set(labels))
         for label in labels:
             assert build_family(label).n == n
+    # the lookup inverts family_order: every member is found from its own
+    # order and degree, and every candidate has the order and degree asked for
+    for label in [G1, G2, G3, Q4, K2, C4, K4, Q3] + [
+            f(i) for f in (gi, hj) for i in range(1, 41)]:
+        assert label in candidate_members(family_order(label), label.regularity), label
+    for k in range(1, 5):
+        for n in range(201):
+            for label in candidate_members(n, k):
+                assert (family_order(label), label.regularity) == (n, k), (n, k, label)
 
 
 def test_small_degree_members_classify():

@@ -129,9 +129,14 @@ def test_search_member_and_nonmember(tmp_path, capsysbinary):
 
 
 def test_generate_rejects_orders_graph6_cannot_hold(capsysbinary):
-    # hj(66000) has 264004 vertices; the order is checked before building
-    assert run(["generate", "--family", "hj(66000)"]) == 3
-    assert capsysbinary.readouterr().out == b""
+    # hj(66000) has 264004 vertices; the order is checked before building in
+    # every format, since building alone runs out of memory near 10**6
+    for extra in ([], ["--format", "json"], ["--oriented"],
+                  ["--oriented", "--format", "json"]):
+        start = time.perf_counter()
+        assert run(["generate", "--family", "hj(66000)"] + extra) == 3, extra
+        assert time.perf_counter() - start < 0.5, extra
+        assert capsysbinary.readouterr().out == b"", extra
 
 
 def test_generate_oriented_json_above_the_arclist_limit_exits_three(capsysbinary):

@@ -75,7 +75,10 @@ def test_label_parse_and_format():
     assert FamilyLabel.parse("hj2") == hj(2)
     assert str(gi(3)) == "gi(3)"
     assert str(Q4) == "q4"
-    for bad in ("gi", "gi(0)", "hj(-1)", "k5", ""):
+    # digits and spaces of other scripts, and text that strip() or lower()
+    # would map onto a label (an em space, the Kelvin sign)
+    for bad in ("gi", "gi(0)", "hj(-1)", "k5", "", "gi(\u0663)", "hj(\uff15)",
+                "gi\u2003(3)", "\u2003g2", "\u212a2"):
         with pytest.raises(ValueError):
             FamilyLabel.parse(bad)
     with pytest.raises(ValueError):

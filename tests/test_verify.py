@@ -12,7 +12,6 @@ from skewopt import (
     orient_family, signed_walk_counts, two_walk_balanced, walk_identity_holds,
 )
 from skewopt.search import enumerate_connected_k_regular
-from skewopt.verify import PARITY_MODES
 
 
 def complete_graph(n: int) -> Graph:
@@ -25,9 +24,8 @@ def random_orientation(g: Graph, rng: random.Random) -> OrientedGraph:
 
 
 def test_parity_k5_fails_four_regular():
-    report = neighbor_parity_report(complete_graph(5), mode="four-regular")
+    report = neighbor_parity_report(complete_graph(5))
     assert not report.passed
-    assert report.mode == "four-regular"
     # every pair is adjacent with three shared neighbors
     assert len(report.violations) == 10
     for u, v, count, adjacent in report.violations:
@@ -35,7 +33,7 @@ def test_parity_k5_fails_four_regular():
 
 
 def test_parity_g1_passes_four_regular():
-    report = neighbor_parity_report(orient_family(G1).base, mode="four-regular")
+    report = neighbor_parity_report(orient_family(G1).base)
     assert report.passed
     assert report.violations == ()
 
@@ -43,28 +41,23 @@ def test_parity_g1_passes_four_regular():
 def test_parity_members_pass_four_regular():
     for label in (G2, gi(1), gi(3), hj(1), hj(2)):
         g = orient_family(label).base
-        assert neighbor_parity_report(g, mode="four-regular").passed
+        assert neighbor_parity_report(g).passed
 
 
 def test_parity_general_even():
     assert neighbor_parity_report(Graph(2, [(0, 1)])).passed
     triangle = complete_graph(3)
-    report = neighbor_parity_report(triangle, mode="general-even")
+    report = neighbor_parity_report(triangle)
     assert not report.passed
     assert report.violations == ((0, 1, 1, True), (0, 2, 1, True), (1, 2, 1, True))
-
-
-def test_parity_mode_validation():
-    with pytest.raises(ValueError):
-        neighbor_parity_report(complete_graph(4), mode="odd")
-    with pytest.raises(ValueError):
-        neighbor_parity_report(complete_graph(4), mode="four-regular")
 
 
 def test_parity_report_agrees_with_pair_loop():
     # the report scans distance-2 pairs with bitsets; the oracle counts the
     # common neighbours of every pair, so both must list the same violations
-    # in the same order
+    # in the same order. On a simple 4-regular graph the report's evenness
+    # rule is also the oracle's four-regular rule (adjacent pairs 0 or 2,
+    # non-adjacent pairs 0, 2 or 4).
     rng = random.Random(13)
     graphs = [g for k, top in ((3, 10), (4, 9), (5, 10), (6, 10))
               for n in range(k + 1, top + 1)
@@ -75,12 +68,12 @@ def test_parity_report_agrees_with_pair_loop():
         graphs.append(Graph(n, nx.random_regular_graph(4, n, seed=seed).edges))
         p = rng.choice((0.1, 0.3, 0.6))
         graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
-    checked = {mode: 0 for mode in PARITY_MODES}
+    checked = {"general-even": 0, "four-regular": 0}
     for g in graphs:
-        for mode in PARITY_MODES if g.is_regular(4) else ("general-even",):
-            want = neighbor_parity_violations(g.n, g.edges, mode)
-            assert neighbor_parity_report(g, mode).violations == want, (g, mode)
-            checked[mode] += bool(want)
+        got = neighbor_parity_report(g).violations
+        for mode in checked if g.is_regular(4) else ("general-even",):
+            assert got == neighbor_parity_violations(g.n, g.edges, mode), (g, mode)
+            checked[mode] += bool(got)
     # both modes saw graphs with violations, not only passing ones
     assert min(checked.values()) >= 5, checked
 
