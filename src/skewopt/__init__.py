@@ -14,7 +14,7 @@ from .formats import (
     FormatError, emit_arclist, emit_graph6, parse_arclist, parse_graph6,
     parse_graph6_lines,
 )
-from .graphs import Graph, OrientedGraph, Walk, disjoint_union
+from .graphs import Graph, OrientedGraph, disjoint_union
 from .matrices import (
     SpectralSummary, gram, gram_eigenvalues, int_matrix, is_optimum, power,
     skew_adjacency, skew_energy, symmetric_eigenvalues,
@@ -35,7 +35,7 @@ __all__ = [
     "BlockSet", "C4", "CensusRecord", "CensusReport", "Classification",
     "ConsistencyRecord", "FamilyLabel", "FormatError", "G1", "G2", "G3",
     "Graph", "K2", "K4", "NeighborhoodReport", "OrientedGraph", "Q3", "Q4",
-    "SignedWalkCount", "SpectralSummary", "SwitchingClassIndex", "Walk",
+    "SignedWalkCount", "SpectralSummary", "SwitchingClassIndex",
     "block_skew_matrix", "build_family", "candidate_members",
     "canonical_blocks", "census", "check_block_identities", "classify",
     "disjoint_union", "doubling_skew_matrix", "emit_arclist", "emit_graph6",

@@ -14,16 +14,20 @@ differ. Otherwise an iterative matcher maps the vertices breadth-first from
 a vertex of the rarest colour, drawing each vertex's candidates from the
 neighbours of its parent's image (the refinement-then-matching scheme of
 McKay and Piperno, "Practical graph isomorphism II", 2014, without
-individualization). `isomorphic` refines to stable colours, which large
-members need; the enumerator's deduplication in `search` keys and matches
-its small completions on the first round's colours alone, which any
-isomorphism preserves just as well.
+individualization). One side of every test is a certificate: the signature
+lists of all its refinement rounds and the match plan over its stable
+colours. A member's certificate is computed once per label and cached, so
+classification refines only the input graph; `isomorphic(g, h)` is the same
+routine with h's certificate built on the spot. The enumerator's
+deduplication in `search` keys and matches its small completions on the
+first round's colours alone, which any isomorphism preserves just as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from functools import lru_cache
+from typing import NamedTuple
 
 from .families import FamilyLabel, build_family, candidate_members
 from .graphs import Graph
@@ -183,22 +187,65 @@ def match(plan, adj: list[int], colours: list[int]):
     return None
 
 
-def isomorphic(g: Graph, h: Graph):
-    """An adjacency-preserving bijection g -> h as a tuple, or None.
+class _Certificate(NamedTuple):
+    """What matching a graph onto g needs of g: its order and size, the
+    signature list of every refinement round, and the `match_plan` over its
+    stable colours (which carries g's adjacency)."""
 
-    Both graphs are refined in step and rejected at the first round whose
-    signature lists differ; otherwise their stable colours guide `match`.
+    n: int
+    edge_count: int
+    signatures: tuple[list, ...]
+    plan: tuple
+
+
+def _certificate(g: Graph) -> _Certificate:
+    adj = _bitsets(g)
+    signatures = []
+    for colours, ordered in _rounds(adj, [list(g.neighbors(v)) for v in range(g.n)]):
+        signatures.append(ordered)
+    return _Certificate(g.n, g.edge_count, tuple(signatures), match_plan(adj, colours))
+
+
+# a member refines in one or two rounds, so its certificate is about the size
+# of its graph; the bound keeps a long run over many orders from holding all
+@lru_cache(maxsize=64)
+def _member_certificate(label: FamilyLabel) -> _Certificate:
+    return _certificate(build_family(label))
+
+
+def _onto(g: Graph, cert: _Certificate):
+    """An adjacency-preserving bijection from g onto the certified graph, as
+    a tuple, or None.
+
+    g is refined in step with the certificate's signature lists and rejected
+    at the first round that differs. Equal lists give equal colour counts,
+    so both refinements stop at the same round, and a colour is the rank of
+    its signature in a list the two graphs share; so every isomorphism
+    preserves the stable colours and `match` finds one from the planned
+    graph onto g, which is inverted.
     """
-    if g.n != h.n or g.edge_count != h.edge_count:
+    if g.n != cert.n or g.edge_count != cert.edge_count:
         return None
-    g_adj, h_adj = _bitsets(g), _bitsets(h)
-    g_rounds = _rounds(g_adj, [_members(a) for a in g_adj])
-    h_rounds = _rounds(h_adj, [_members(a) for a in h_adj])
-    for g_round, h_round in zip_longest(g_rounds, h_rounds):
-        if g_round is None or h_round is None or g_round[1] != h_round[1]:
+    adj = _bitsets(g)
+    rounds = _rounds(adj, [list(g.neighbors(v)) for v in range(g.n)])
+    for signatures, (colours, ordered) in zip(cert.signatures, rounds):
+        if ordered != signatures:
             return None
-    mapping = match(match_plan(g_adj, g_round[0]), h_adj, h_round[0])
-    return None if mapping is None else tuple(mapping)
+    found = match(cert.plan, adj, colours)
+    if found is None:
+        return None
+    mapping = [0] * g.n
+    for v, w in enumerate(found):
+        mapping[w] = v
+    return tuple(mapping)
+
+
+def isomorphic(g: Graph, h: Graph):
+    """An adjacency-preserving bijection g -> h as a tuple, or None; the
+    classifier's routine with h's certificate built on the spot."""
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return None  # before h is refined for nothing
+    return _onto(g, _certificate(h))
 
 
 def classify(g: Graph, k: int = 4) -> Classification:
@@ -208,7 +255,7 @@ def classify(g: Graph, k: int = 4) -> Classification:
     if not g.is_connected():
         raise ValueError("classification applies to connected graphs")
     for label in candidate_members(g.n, k):
-        mapping = isomorphic(g, build_family(label))
+        mapping = _onto(g, _member_certificate(label))
         if mapping is not None:
             return Classification(label, mapping)
     return Classification(None, None)

@@ -3,8 +3,12 @@
 Subcommands: generate, verify, energy, search, classify, census.
 Exit codes: 0 success, 1 negative answer under --strict, 2 unreadable or
 malformed input, 3 invalid arguments (an empty graph, an arc list above
-ARCLIST_ORDER_LIMIT vertices, or a generate label of order GRAPH6_ORDER_LIMIT
-or more, among them).
+ARCLIST_ORDER_LIMIT vertices, a generate label of order GRAPH6_ORDER_LIMIT
+or more, or graph6 output whose body would exceed GRAPH6_BODY_LIMIT bytes,
+among them). A graph6 body takes n(n-1)/12 bytes and is held whole, in a
+few copies, while it is written, so generate refuses a label whose body
+would pass 16 MiB (n above about 14,000; hj(65533), just under the graph6
+order limit, would need about 5.7 GB) before it builds anything.
 Reports are JSON with a fixed key order and floats printed to 12 significant
 digits, so identical runs produce byte-identical output.
 """
@@ -32,6 +36,8 @@ K_RANGE = (1, 8)
 # matrices (numpy's SVD of S takes about 1.6 s at n = 2000 and 14 s at
 # n = 4000), so larger inputs exit 3
 ARCLIST_ORDER_LIMIT = 2000
+# graph6 output is held whole (see the module docstring)
+GRAPH6_BODY_LIMIT = 1 << 24
 
 
 class _UsageError(Exception):
@@ -199,6 +205,10 @@ def _cmd_generate(cfg: RunConfig) -> int:
     if n >= GRAPH6_ORDER_LIMIT:
         raise _UsageError(
             f"{label} has {n} vertices; generated orders stop below {GRAPH6_ORDER_LIMIT}"
+        )
+    if fmt == "graph6" and (n * (n - 1) // 2 + 5) // 6 > GRAPH6_BODY_LIMIT:
+        raise _UsageError(
+            f"{label} has {n} vertices; its graph6 body would pass {GRAPH6_BODY_LIMIT} bytes"
         )
     # the JSON report's energy takes the SVD of the dense n x n matrix S
     if cfg.oriented and fmt == "json" and n > ARCLIST_ORDER_LIMIT:

@@ -110,8 +110,9 @@ _FIXED = {
 }
 _PARAM_KINDS = ("gi", "hj")
 
-# ASCII only: \d and \s would also take digits and spaces of other scripts
-_LABEL_RE = re.compile(r"^(gi|hj)\s*\(?\s*(\d+)\s*\)?$", re.ASCII)
+# kind(n) or kindn, nothing between; ASCII only, as \d would also take the
+# digits of other scripts
+_LABEL_RE = re.compile(r"(gi|hj)(?:\((\d+)\)|(\d+))", re.ASCII)
 
 
 @dataclass(frozen=True, order=True)
@@ -147,9 +148,9 @@ class FamilyLabel:
         t = text.strip().lower() if text.isascii() else ""
         if t in _FIXED:
             return cls(t)
-        m = _LABEL_RE.match(t)
+        m = _LABEL_RE.fullmatch(t)
         if m:
-            return cls(m.group(1), int(m.group(2)))
+            return cls(m.group(1), int(m.group(2) or m.group(3)))
         raise ValueError(f"cannot parse family label {text!r}")
 
 

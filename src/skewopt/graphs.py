@@ -1,4 +1,4 @@
-"""Simple undirected graphs, edge orientations, and signed walks.
+"""Simple undirected graphs and edge orientations.
 
 Vertices are dense integers 0..n-1.  Both graph classes are immutable after
 construction; adjacency sets are precomputed so neighborhood queries cost
@@ -7,7 +7,6 @@ O(deg).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -182,32 +181,3 @@ def disjoint_union(a: OrientedGraph, b: OrientedGraph) -> OrientedGraph:
     return OrientedGraph(
         base, list(a.arcs) + [(t + off, h + off) for t, h in b.arcs]
     )
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A vertex sequence; consecutive vertices must be adjacent when signed."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("a walk needs at least one vertex")
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def sign(self, og: OrientedGraph) -> int:
-        """Product of arc signs along the walk; steps must follow edges."""
-        total = 1
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            s = og.sign(a, b)
-            if s == 0:
-                raise ValueError(f"walk step ({a}, {b}) is not an edge")
-            total *= s
-        return total
-
-    def reversed(self) -> "Walk":
-        return Walk(tuple(reversed(self.vertices)))

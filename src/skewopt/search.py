@@ -253,6 +253,10 @@ def enumerate_connected_k_regular(n: int, k: int):
     count is final, and a node where it exceeds that of (0, 1) is cut; only
     the edges at vertices saturated since the parent need checking.
 
+    Sealed cut: when the next vertex to finish is untouched, the finished
+    vertices are saturated and none of them is adjacent to the rest, so no
+    completion below is connected.
+
     Degree cut: on entering v, every vertex below v is saturated and no two
     vertices >= v are adjacent yet (edges are added only at the vertex being
     finished), so an unsaturated touched vertex w >= v can still be joined
@@ -260,10 +264,12 @@ def enumerate_connected_k_regular(n: int, k: int):
     If some deficit exceeds their number, no completion lies below.
 
     The twin prune and the root-edge cut remove no first completion of a
-    class, the degree cut no completion at all, and a first-round bucket
-    rejects exactly the completions that full refinement did, so the yielded
-    graphs, their labels and their order are those of the unpruned search.
-    Both cuts are tested before a child node is entered.
+    class, the sealed and degree cuts no connected completion at all, and a
+    first-round bucket rejects exactly the completions that full refinement
+    did, so the yielded graphs, their labels and their order are those of
+    the unpruned search. The cuts are tested inline in the child loop,
+    before a child node is entered, and the count of (0, 1) is taken once,
+    when vertex 1 is finished.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -286,25 +292,12 @@ def enumerate_connected_k_regular(n: int, k: int):
     around: list[list[int]] = [[] for _ in range(n)]
     # first-round signature list -> match plans of the classes kept with it
     buckets: dict[tuple, list] = {}
-
-    def cut(v: int, next_fresh: int, settled: list[int]) -> bool:
-        """Whether no first completion of a class lies below the node that
-        finishes v next (every vertex below v saturated, those below
-        next_fresh touched); `settled` became saturated on the way in."""
-        root = (adj[0] & adj[1]).bit_count()
-        for s in settled:
-            for t in around[s]:
-                if not deficit[t] and (adj[s] & adj[t]).bit_count() > root:
-                    return True  # root-edge cut
-        if v == n:
-            return False
-        if v == next_fresh:
-            return True  # untouched vertex: the finished part is sealed off
-        # degree cut; no two of these are adjacent yet
-        open_deficits = [deficit[w] for w in range(v, next_fresh) if deficit[w]]
-        return max(open_deficits) >= n - next_fresh + len(open_deficits)
+    # common neighbours of the edge (0, 1), final once vertex 1 is finished
+    # (0 before: vertex 1 has no other neighbour yet)
+    root = 0
 
     def complete(v: int, next_fresh: int):
+        nonlocal root
         if v == n:
             colours, signatures = next(_rounds(adj, around))
             kept = buckets.setdefault(tuple(signatures), [])
@@ -330,11 +323,12 @@ def enumerate_connected_k_regular(n: int, k: int):
             r = need - f
             if r > len(old):
                 continue
-            fresh = list(range(next_fresh, next_fresh + f))
+            top = next_fresh + f
+            fresh = tuple(range(next_fresh, top))
             for subset in combinations(old, r):
                 if twins and any(w in subset and b not in subset for w, b in twins):
                     continue
-                chosen = list(subset) + fresh
+                chosen = subset + fresh
                 settled = [v]
                 for w in chosen:
                     deficit[w] -= 1
@@ -345,11 +339,34 @@ def enumerate_connected_k_regular(n: int, k: int):
                         settled.append(w)
                 adj[v] = row
                 around[v] += chosen
+                if v == 1:
+                    root = (adj[0] & row).bit_count()
                 u = v + 1
                 while u < n and not deficit[u]:
                     u += 1
-                if not cut(u, next_fresh + f, settled):
-                    yield from complete(u, next_fresh + f)
+                # the cuts, before the child finishing u is entered
+                if u == n:
+                    enter = True
+                elif u == top:
+                    enter = False  # untouched u: the finished part is sealed off
+                else:
+                    # degree cut; no two unsaturated touched vertices are
+                    # adjacent yet
+                    touched = deficit[u:top]
+                    enter = max(touched) < n - top + len(touched) - touched.count(0)
+                if enter:
+                    for s in settled:
+                        # root-edge cut: the edges at vertices saturated here
+                        # are the ones whose count just became final
+                        a = adj[s]
+                        for t in around[s]:
+                            if not deficit[t] and (a & adj[t]).bit_count() > root:
+                                enter = False
+                                break
+                        if not enter:
+                            break
+                if enter:
+                    yield from complete(u, top)
                 for w in chosen:
                     deficit[w] += 1
                     adj[w] ^= bit

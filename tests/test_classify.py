@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 import time
 from itertools import combinations
@@ -10,9 +11,11 @@ import pytest
 
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, Graph, build_family,
-    candidate_members, classify, family_order, gi, hj, isomorphic,
-    theorem_crosscheck,
+    candidate_members, classify, enumerate_connected_k_regular, family_order,
+    gi, hj, isomorphic, theorem_crosscheck,
 )
+
+classify_module = importlib.import_module("skewopt.classify")
 
 
 def complete_graph(n: int) -> Graph:
@@ -78,15 +81,34 @@ def test_classification_survives_relabeling():
 
 
 def test_certificate_is_adjacency_preserving():
+    # every census graph up to n = 10, relabeled gi/hj members up to n = 60
+    # and the members of degree below 4, each classified twice: once with
+    # the member certificates cleared and once from the cache
     rng = random.Random(23)
-    for label in (G1, G3, gi(2), hj(2)):
-        g = shuffled(build_family(label), rng)
-        result = classify(g)
-        member = build_family(result.label)
-        mapping = result.certificate
-        assert sorted(mapping) == list(range(g.n))
-        for u, v in combinations(range(g.n), 2):
-            assert g.has_edge(u, v) == member.has_edge(mapping[u], mapping[v])
+    inputs = [(g, 4) for n in range(1, 11) for g in enumerate_connected_k_regular(n, 4)]
+    inputs += [(shuffled(build_family(label), rng), 4) for label in (
+        [G1, G2, G3, Q4] + [gi(i) for i in range(1, 14)] + [hj(j) for j in range(1, 15)])]
+    inputs += [(shuffled(build_family(label), rng), label.regularity)
+               for label in (K2, C4, K4, Q3)]
+    members = 0
+    for g, k in inputs:
+        classify_module._member_certificate.cache_clear()
+        results = [classify(g, k), classify(g, k)]
+        # the second call reads every certificate the first one built
+        info = classify_module._member_certificate.cache_info()
+        assert info.hits == info.misses
+        for result in results:
+            if result.label is None:
+                assert result.certificate is None
+                continue
+            member = build_family(result.label)
+            mapping = result.certificate
+            assert sorted(mapping) == list(range(g.n))
+            for u, v in combinations(range(g.n), 2):
+                assert g.has_edge(u, v) == member.has_edge(mapping[u], mapping[v])
+            members += 1
+    # the census members are g2, g1, hj(1) and gi(1)
+    assert members == 2 * (len(inputs) - 85 + 4)
 
 
 def test_candidate_members_by_order():

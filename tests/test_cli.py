@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewopt import (
     G1, G2, Graph, OrientedGraph, build_family, emit_arclist, emit_graph6, hj,
     is_optimum, orient_family,
 )
-from skewopt.cli import ARCLIST_ORDER_LIMIT, run
+from skewopt.cli import ARCLIST_ORDER_LIMIT, GRAPH6_BODY_LIMIT, run
 
 
 def write_graph6(tmp_path, name, g):
@@ -137,6 +141,41 @@ def test_generate_rejects_orders_graph6_cannot_hold(capsysbinary):
         assert run(["generate", "--family", "hj(66000)"] + extra) == 3, extra
         assert time.perf_counter() - start < 0.5, extra
         assert capsysbinary.readouterr().out == b"", extra
+
+
+def test_generate_graph6_body_limit(capsysbinary):
+    # hj(65533) is just under the graph6 order limit, and its body would take
+    # about 5.7 GB; the body size is checked before building, in graph6 only
+    start = time.perf_counter()
+    assert run(["generate", "--family", "hj(65533)"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert str(GRAPH6_BODY_LIMIT).encode("ascii") in captured.err
+    # the first hj whose body passes the limit is refused as fast, and the
+    # limit leaves the small members alone
+    j = next(j for j in range(1, 65534) if (4 * j + 4) * (4 * j + 3) // 12 >= GRAPH6_BODY_LIMIT)
+    start = time.perf_counter()
+    assert run(["generate", "--family", f"hj({j})"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsysbinary.readouterr().out == b""
+    assert run(["generate", "--family", "hj(300)"]) == 0
+    assert capsysbinary.readouterr().out == emit_graph6(build_family(hj(300))) + b"\n"
+
+
+# any text, and text shaped like a label with spacing, parentheses and
+# digits in the wrong places
+_FAMILY_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"\s?(gi|hj|GI|g[1-4]|q[34]|k[24]|c4)\s?\(?\s?-?\d{0,3}\s?\)?\s?",
+                  fullmatch=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAMILY_TEXT)
+def test_generate_any_family_text_exits_zero_or_three(text):
+    assert run(["generate", "--family", text, "--output", os.devnull]) in (0, 3)
 
 
 def test_generate_oriented_json_above_the_arclist_limit_exits_three(capsysbinary):

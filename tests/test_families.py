@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ladder_arcs
 from skewopt import (
@@ -78,13 +80,30 @@ def test_label_parse_and_format():
     # digits and spaces of other scripts, and text that strip() or lower()
     # would map onto a label (an em space, the Kelvin sign)
     for bad in ("gi", "gi(0)", "hj(-1)", "k5", "", "gi(\u0663)", "hj(\uff15)",
-                "gi\u2003(3)", "\u2003g2", "\u212a2"):
+                "gi\u2003(3)", "\u2003g2", "\u212a2",
+                # only kind(n) and kindn
+                "gi(3", "gi3)", "hj 2", "hj ( 2 )", "gi( 3)", "gi()"):
         with pytest.raises(ValueError):
             FamilyLabel.parse(bad)
     with pytest.raises(ValueError):
         FamilyLabel("g1", 2)
     with pytest.raises(ValueError):
         FamilyLabel("gi")
+
+
+_LABELS = st.one_of(
+    st.sampled_from(["g1", "g2", "g3", "q4", "k2", "c4", "k4", "q3"]).map(FamilyLabel),
+    st.builds(FamilyLabel, st.sampled_from(["gi", "hj"]), st.integers(1, 10**30)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABELS)
+def test_label_parse_inverts_str(label):
+    assert FamilyLabel.parse(str(label)) == label
+    assert FamilyLabel.parse(str(label).upper()) == label
+    if label.param is not None:
+        assert FamilyLabel.parse(f"{label.kind}{label.param}") == label
 
 
 def test_family_orders():

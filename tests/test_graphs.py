@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from skewopt import (
-    G1, G2, Graph, OrientedGraph, Walk, build_family, disjoint_union, gi, hj,
+    G1, G2, Graph, OrientedGraph, build_family, disjoint_union, gi, hj,
     is_optimum, orient_family,
 )
 
@@ -192,6 +192,20 @@ def _all_walks(g: Graph, start: int, length: int):
             yield rest + (w,)
 
 
+def walk_sign(og: OrientedGraph, vertices) -> int:
+    """Product of the arc signs along a vertex sequence; every step must
+    follow an edge."""
+    if not vertices:
+        raise ValueError("a walk needs at least one vertex")
+    total = 1
+    for a, b in zip(vertices, vertices[1:]):
+        s = og.sign(a, b)
+        if s == 0:
+            raise ValueError(f"walk step ({a}, {b}) is not an edge")
+        total *= s
+    return total
+
+
 def test_walk_reversal_sign_rule():
     for og in (orient_family(G2), OrientedGraph(
             Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
@@ -199,20 +213,19 @@ def test_walk_reversal_sign_rule():
         for length in range(1, 5):
             for start in range(og.base.n):
                 for vertices in _all_walks(og.base, start, length):
-                    walk = Walk(vertices)
-                    flipped = walk.reversed().sign(og)
-                    expect = walk.sign(og) if length % 2 == 0 else -walk.sign(og)
+                    flipped = walk_sign(og, vertices[::-1])
+                    sign = walk_sign(og, vertices)
+                    expect = sign if length % 2 == 0 else -sign
                     assert flipped == expect
 
 
 def test_walk_validation():
     og = OrientedGraph(Graph(3, [(0, 1)]), [(0, 1)])
     with pytest.raises(ValueError):
-        Walk(())
+        walk_sign(og, ())
     with pytest.raises(ValueError):
-        Walk((0, 2)).sign(og)
-    assert Walk((0, 1, 0)).length == 2
-    assert Walk((0, 1, 0)).sign(og) == -1
+        walk_sign(og, (0, 2))
+    assert walk_sign(og, (0, 1, 0)) == -1
 
 
 def test_graph_equality_and_hash():
