@@ -278,12 +278,8 @@ def enumerate_connected_k_regular(n: int, k: int):
             f"built-in enumeration stops at n={ENUMERATION_ORDER_CAP}; "
             "ingest an external graph6 corpus instead"
         )
-    if (n * k) % 2 or k >= n:
-        if k == 0 and n == 1:
-            yield Graph(1, [])
-        return
-    if k == 0:
-        if n == 1:
+    if (n * k) % 2 or k >= n or k == 0:
+        if n == 1 and k == 0:
             yield Graph(1, [])
         return
 

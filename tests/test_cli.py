@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -219,6 +220,36 @@ def test_arclist_orders_above_the_limit_exit_three(tmp_path, capsysbinary):
             assert str(ARCLIST_ORDER_LIMIT).encode("ascii") in captured.err
 
 
+def test_report_bytes_are_pinned(tmp_path, capsysbinary):
+    # sha256 of each report's stdout; only optimum members, whose printed
+    # energies (16.0, 24.0) are exact
+    g1_path = tmp_path / "g1.arcs"
+    g1_path.write_bytes(emit_arclist(orient_family(G1)))
+    hj2_path = write_graph6(tmp_path, "hj2.g6", build_family(hj(2)))
+    k5_path = write_graph6(tmp_path, "k5.g6",
+                           Graph(5, list(combinations(range(5), 2))))
+    pins = [
+        (["generate", "--family", "gi(2)", "--format", "json"],
+         "3d859a1e7e0a8d43441b1a80e6efdd18ae4392c1e2dbe8ae0268bcaa79b8fc33"),
+        (["generate", "--family", "hj(2)", "--oriented", "--format", "json"],
+         "0555d608fdf5131d3e43bda4aeb07993bed25528626200b0be27db554889b70f"),
+        (["verify", str(g1_path)],
+         "8f5894dd9a711656600dec368fcb12cd9e173b61fdc034db2d4c6168a7d4f6fa"),
+        (["energy", str(g1_path)],
+         "662c9f2fbdfa62ea750ecfb0f817af8da89547a7c8983f01d1c772b111ea1b95"),
+        (["search", hj2_path],
+         "c234ff6760f4489d7065a0f91a01e74290a9280b174a5b9949b5c840382bbe22"),
+        (["search", k5_path],
+         "ca62e5a190a99952d2a10cf7621a4ca6ef8a3d645fd256795af35d6910575125"),
+        (["classify", hj2_path],
+         "4f9c13c2cb00934bc314c640d2feb5f1da6262373a43aca50e32cd6335b4e651"),
+    ]
+    for argv, want in pins:
+        assert run(argv) == 0, argv
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == want, argv
+
+
 def test_census_enumerated(capsysbinary):
     code, report, first = run_json(
         ["census", "--max-n", "6", "--strict"], capsysbinary)
@@ -252,6 +283,15 @@ def test_census_argument_validation(tmp_path):
     assert run(["census", "--max-n", "0"]) == 3
 
 
+def test_census_above_the_order_cap_exits_three_at_once(capsysbinary):
+    # the order is checked before any enumeration; enumerating k=6 up to the
+    # cap first would take about 40 s
+    start = time.perf_counter()
+    assert run(["census", "--max-n", "13", "--k", "6"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsysbinary.readouterr().out == b""
+
+
 def test_flag_validation(tmp_path):
     path = tmp_path / "x.arcs"
     path.write_bytes(b"2 1\n0 1\n")
@@ -273,6 +313,7 @@ def test_flags_that_do_nothing_are_rejected(tmp_path, capsysbinary):
         assert run([sub, g2_path, "--workers", "2"]) == 3
         assert run([sub, g2_path, "--format", "json"]) == 3
     assert run(["census", "--max-n", "5", "--format", "arcs"]) == 3
+    assert run(["census", "--max-n", "4", "--workers", "2"]) == 3
     for flag in (["--k", "7"], ["--strict"], ["--input", g2_path]):
         assert run(["generate", "--family", "g2", *flag]) == 3
     assert capsysbinary.readouterr().out == b""
