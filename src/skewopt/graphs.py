@@ -2,7 +2,7 @@
 
 Vertices are dense integers 0..n-1.  Both graph classes are immutable after
 construction; adjacency sets are precomputed so neighborhood queries cost
-O(deg).
+O(deg), and connectivity is computed on first request and kept.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class Graph:
     collapsed; self-loops and out-of-range endpoints are rejected.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -37,6 +37,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(frozenset(s) for s in adj)
+        self._connected: bool | None = None
 
     @property
     def edge_count(self) -> int:
@@ -70,16 +71,16 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff the graph has a single component (vacuously for n=0)."""
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        if self._connected is None:
+            seen = {0} if self.n else set()
+            stack = list(seen)
+            while stack:
+                for w in self._adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            self._connected = len(seen) == self.n
+        return self._connected
 
     def is_triangle_free(self) -> bool:
         return all(not (self._adj[u] & self._adj[v]) for u, v in self.edges)

@@ -253,6 +253,24 @@ def enumerate_connected_k_regular(n: int, k: int):
     count is final, and a node where it exceeds that of (0, 1) is cut; only
     the edges at vertices saturated since the parent need checking.
 
+    Vertex-2 cut: the same argument one level down. In the unpruned search
+    the first completion of a class is the lexicographically least sequence
+    ((f1, S1), (f2, S2), ...) of fresh counts f_v and subsets S_v of old
+    vertices. With c the count of (0, 1), the largest of any edge, its
+    vertex 1 takes S1 = {2..c+1}; so vertex 2 is a common neighbour of 0 and
+    1 when c >= 1, and another neighbour of 0 when c = 0, and it takes
+    f2 = k - T(0, 1, 2) fresh vertices, where T(a, b, x) is
+    |N(x) & (N[a] | N[b])|. Take any edge (a, b) with c common neighbours
+    and an x eligible in the same sense: a common neighbour when c >= 1, a
+    neighbour of a or b other than a and b when c = 0. Relabeling a, b, x
+    as 0, 1, 2 (orienting (a, b) so that x is a neighbour of a) and the rest
+    in first-touch order gives a completion of the unpruned search with the
+    same (f1, S1), so the first completion has the largest T(0, 1, 2) of any
+    such triple. T(0, 1, 2) is final once 0, 1 and 2 are saturated, and
+    T(a, b, x) once a, b and x are; a node where a saturated edge tied with
+    (0, 1) has a saturated eligible x with a larger T is cut. The check runs
+    when the tied edge's count becomes final, over the x saturated by then.
+
     Sealed cut: when the next vertex to finish is untouched, the finished
     vertices are saturated and none of them is adjacent to the rest, so no
     completion below is connected.
@@ -263,13 +281,14 @@ def enumerate_connected_k_regular(n: int, k: int):
     to the untouched vertices and to the other unsaturated touched vertices.
     If some deficit exceeds their number, no completion lies below.
 
-    The twin prune and the root-edge cut remove no first completion of a
-    class, the sealed and degree cuts no connected completion at all, and a
-    first-round bucket rejects exactly the completions that full refinement
-    did, so the yielded graphs, their labels and their order are those of
-    the unpruned search. The cuts are tested inline in the child loop,
-    before a child node is entered, and the count of (0, 1) is taken once,
-    when vertex 1 is finished.
+    The twin prune, the root-edge cut and the vertex-2 cut remove no first
+    completion of a class, the sealed and degree cuts no connected
+    completion at all, and a first-round bucket rejects exactly the
+    completions that full refinement did, so the yielded graphs, their
+    labels and their order are those of the unpruned search. The cuts are
+    tested inline in the child loop, before a child node is entered; the
+    count of (0, 1) is taken once, when vertex 1 is finished, and T(0, 1, 2)
+    once, when vertex 2 is saturated.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -291,9 +310,12 @@ def enumerate_connected_k_regular(n: int, k: int):
     # common neighbours of the edge (0, 1), final once vertex 1 is finished
     # (0 before: vertex 1 has no other neighbour yet)
     root = 0
+    # T(0, 1, 2), final once vertex 2 is saturated (k before: no triple
+    # exceeds it)
+    third = k
 
     def complete(v: int, next_fresh: int):
-        nonlocal root
+        nonlocal root, third
         if v == n:
             colours, signatures = next(_rounds(adj, around))
             kept = buckets.setdefault(tuple(signatures), [])
@@ -337,6 +359,11 @@ def enumerate_connected_k_regular(n: int, k: int):
                 around[v] += chosen
                 if v == 1:
                     root = (adj[0] & row).bit_count()
+                if 0 < v < 3:
+                    # vertex 2 is saturated when it is finished, or when
+                    # vertex 1 fills it; vertex 1 is finished only for k >= 2,
+                    # so vertex 2 exists
+                    third = k if deficit[2] else (adj[2] & (adj[0] | adj[1])).bit_count()
                 u = v + 1
                 while u < n and not deficit[u]:
                     u += 1
@@ -356,9 +383,26 @@ def enumerate_connected_k_regular(n: int, k: int):
                         # are the ones whose count just became final
                         a = adj[s]
                         for t in around[s]:
-                            if not deficit[t] and (a & adj[t]).bit_count() > root:
+                            if deficit[t]:
+                                continue
+                            b = adj[t]
+                            c = (a & b).bit_count()
+                            if c > root:
                                 enter = False
                                 break
+                            if c == root and third < k:
+                                # vertex-2 cut on the saturated eligible x
+                                near = a | b
+                                xs = a & b if c else near & ~(1 << s | 1 << t)
+                                while xs:
+                                    low = xs & -xs
+                                    xs ^= low
+                                    x = low.bit_length() - 1
+                                    if not deficit[x] and (adj[x] & near).bit_count() > third:
+                                        enter = False
+                                        break
+                                if not enter:
+                                    break
                         if not enter:
                             break
                 if enter:

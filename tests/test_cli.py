@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 import time
 from itertools import combinations
 
@@ -177,6 +178,60 @@ _FAMILY_TEXT = st.one_of(
 @given(_FAMILY_TEXT)
 def test_generate_any_family_text_exits_zero_or_three(text):
     assert run(["generate", "--family", text, "--output", os.devnull]) in (0, 3)
+
+
+_SUBCOMMANDS = ("generate", "verify", "energy", "search", "classify", "census")
+_FLAGS = ("--input", "--output", "--k", "--max-n", "--strict", "--family",
+          "--format", "--oriented", "--workers", "--help", "-h", "--")
+# no order 9..12, so that no example runs a slow census; <a>, <b>, <dir> and
+# <missing> stand for the example's input files, its directory and a path
+# that does not exist
+_VALUES = ("-1", "0", "1", "2", "3", "4", "8", "13", "99", "9" * 30, "4.0",
+           "", " ", "x", "-", "g2", "gi(1)", "hj(2)", "k4", "k9", "hj(9999999)",
+           "graph6", "arcs", "json", os.devnull, "<a>", "<b>", "<dir>", "<missing>")
+_INPUTS = (
+    b"", b"?\n", b"A_\n", b"A_\nA_\n", b"~\n", b"~~\n", b"\xff\xfe\n",
+    emit_graph6(build_family(G2)) + b"\n",
+    emit_graph6(build_family(hj(1))) + b"\n" + emit_graph6(build_family(G1)) + b"\n",
+    emit_graph6(Graph(5, list(combinations(range(5), 2)))) + b"\n",
+    emit_arclist(orient_family(G2)), b"0 0\n", b"2 1\n0 1\n", b"2 1\n1 0\n0 1\n",
+    b"3 1\n0 5\n", b"3 2\n0 1\n0 1\n", b"-1 0\n", b"2 x\n", b"2001 0\n",
+)
+_FILE = st.one_of(st.sampled_from(_INPUTS), st.binary(max_size=40))
+# mostly a subcommand, often with an input file, and flag-value pairs, with
+# stray tokens among them
+_ARGV = st.tuples(
+    st.one_of(
+        st.tuples(st.sampled_from(_SUBCOMMANDS)),
+        st.tuples(st.sampled_from(_SUBCOMMANDS), st.sampled_from(("<a>", "<b>"))),
+        st.tuples(st.sampled_from(_FLAGS + _VALUES)),
+    ),
+    st.lists(st.one_of(
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)),
+        st.tuples(st.sampled_from(_SUBCOMMANDS + _FLAGS + _VALUES)),
+    ), max_size=5),
+).map(lambda t: [token for tokens in (t[0], *t[1]) for token in tokens])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_ARGV, _FILE, _FILE)
+def test_any_argv_exits_with_a_documented_code(argv, a, b):
+    # random argv from the subcommands, flags, junk values and junk input
+    # files; run returns a documented exit code and raises nothing. It runs
+    # in a scratch directory, so a relative --output lands there
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        paths = {"<a>": os.path.join(root, "a"), "<b>": os.path.join(root, "b"),
+                 "<dir>": root, "<missing>": os.path.join(root, "no", "such")}
+        with open(paths["<a>"], "wb") as fh:
+            fh.write(a)
+        with open(paths["<b>"], "wb") as fh:
+            fh.write(b)
+        os.chdir(root)
+        try:
+            assert run([paths.get(token, token) for token in argv]) in (0, 1, 2, 3)
+        finally:
+            os.chdir(cwd)
 
 
 def test_generate_oriented_json_above_the_arclist_limit_exits_three(capsysbinary):

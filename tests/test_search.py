@@ -217,8 +217,10 @@ def test_enumeration_and_census_bytes_are_pinned(capsysbinary):
     # sha256 of the graph6 lines yielded for n = 1..top, and of the census
     # report, as the search printed them before it skipped twin-symmetric
     # branches; (4, 11) was taken later, with the twin prune but before the
-    # first-round buckets and the degree cut, and (4, 12) before the
-    # root-edge cut. The bound holds only with the twin prune and the
+    # first-round buckets and the degree cut, (4, 12) before the root-edge
+    # cut, and k = 1, 2, 7 and 8 before the vertex-2 cut (k = 1 reaches
+    # n = 2, where vertex 2 does not exist). The vertex-2 cut left every
+    # digest as it was. The bound holds only with the twin prune and the
     # root-edge cut (about 24 s without the latter)
     expected = {
         (3, 12): "b9c43465470bc59ab9add85428dae63af1a3e2949fa465e5c4f2bb08330e9d05",
@@ -227,6 +229,10 @@ def test_enumeration_and_census_bytes_are_pinned(capsysbinary):
         (4, 12): "7541d69dca9e3e0a706cc1123536db49e01804c278570400e8a61cc1167fbde9",
         (5, 10): "4148fd27cc7274f4a5d2768ac3f249ce1129cc320e4c09ad39611dba4a004feb",
         (6, 10): "218dfad41b1168e758f19f3da0ca51ed295ebf46856f5d4198144cf571a4b719",
+        (1, 10): "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+        (2, 10): "d01211080cfa240db0be9bbe312593709fa6a92991f4ac79311b7d83082f1011",
+        (7, 10): "30f7a4a4fa38fdb004d049c199aea32f5c5c2a08315363845648080c3874a110",
+        (8, 10): "e9b1eb21a55d172e60c40d64b3265d91d8909425bccb6d5c45255ce5301a701d",
     }
     start = time.perf_counter()
     for (k, top), want in expected.items():
@@ -263,6 +269,40 @@ def test_first_edge_has_the_most_common_neighbours():
                 root = len(nbrs[0] & nbrs[1])
                 assert all(len(nbrs[u] & nbrs[v]) <= root for u, v in g.edges), (
                     k, n, emit_graph6(g))
+                checked += 1
+    assert checked == 112 + 350 + 64 + 27  # classes of orders up to top
+
+
+def test_third_vertex_sees_the_most_of_the_first_edge():
+    # the vertex-2 cut keeps only completions where T(0, 1, 2) is the
+    # largest T(a, b, x) = |N(x) & (N[a] | N[b])| over the edges (a, b) with
+    # as many common neighbours c as (0, 1) and their eligible x: a common
+    # neighbour of a and b when c >= 1, else a neighbour of either other than
+    # a and b; vertex 2 is eligible for (0, 1) itself. The search yielded
+    # such representatives before the cut existed, which this checks on
+    # plain neighbour sets
+    checked = 0
+    for k, top in ((3, 12), (4, 11), (5, 10), (6, 10)):
+        for n in range(1, top + 1):
+            for g in enumerate_connected_k_regular(n, k):
+                nbrs = [set() for _ in range(n)]
+                for u, v in g.edges:
+                    nbrs[u].add(v)
+                    nbrs[v].add(u)
+
+                def seen(a, b, x):
+                    return len(nbrs[x] & (nbrs[a] | {a} | nbrs[b] | {b}))
+
+                root = len(nbrs[0] & nbrs[1])
+                assert 2 in (nbrs[0] & nbrs[1] if root else nbrs[0] - {1} - nbrs[1])
+                best = seen(0, 1, 2)
+                for a, b in g.edges:
+                    common = nbrs[a] & nbrs[b]
+                    if len(common) != root:
+                        continue
+                    eligible = common if root else (nbrs[a] | nbrs[b]) - {a, b}
+                    assert all(seen(a, b, x) <= best for x in eligible), (
+                        k, n, emit_graph6(g))
                 checked += 1
     assert checked == 112 + 350 + 64 + 27  # classes of orders up to top
 
