@@ -20,9 +20,8 @@ from .matrices import (
     skew_adjacency, skew_energy, symmetric_eigenvalues,
 )
 from .search import (
-    CensusRecord, CensusReport, ConsistencyRecord, SwitchingClassIndex, census,
-    enumerate_connected_k_regular, find_optimum_orientation, switching_classes,
-    theorem_crosscheck,
+    CensusRecord, CensusReport, census, enumerate_connected_k_regular,
+    find_optimum_orientation, switching_classes, theorem_crosscheck,
 )
 from .verify import (
     NeighborhoodReport, SignedWalkCount, neighbor_parity_report,
@@ -33,10 +32,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSet", "C4", "CensusRecord", "CensusReport", "Classification",
-    "ConsistencyRecord", "FamilyLabel", "FormatError", "G1", "G2", "G3",
-    "Graph", "K2", "K4", "NeighborhoodReport", "OrientedGraph", "Q3", "Q4",
-    "SignedWalkCount", "SpectralSummary", "SwitchingClassIndex",
-    "block_skew_matrix", "build_family", "candidate_members",
+    "FamilyLabel", "FormatError", "G1", "G2", "G3", "Graph", "K2", "K4",
+    "NeighborhoodReport", "OrientedGraph", "Q3", "Q4", "SignedWalkCount",
+    "SpectralSummary", "block_skew_matrix", "build_family", "candidate_members",
     "canonical_blocks", "census", "check_block_identities", "classify",
     "disjoint_union", "doubling_skew_matrix", "emit_arclist", "emit_graph6",
     "enumerate_connected_k_regular", "family_order",

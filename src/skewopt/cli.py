@@ -276,17 +276,8 @@ def _cmd_census(args) -> int:
     payload = {
         "k": args.k,
         "totals": report.totals(),
-        "records": [
-            {
-                "graph6": r.graph6,
-                "n": r.n,
-                "has_optimum": r.has_optimum,
-                "classification": r.classification,
-                "witness": r.witness,
-                "violation": r.violation,
-            }
-            for r in report.records
-        ],
+        # the record's fields are the report's keys, in order
+        "records": [vars(r) for r in report.records],
         "skipped": report.skipped,
         "violations": [r.graph6 for r in report.violations],
     }

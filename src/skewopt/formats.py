@@ -107,7 +107,9 @@ def emit_graph6(g: Graph) -> bytes:
 def parse_graph6_lines(data) -> list[Graph]:
     """Decode a corpus: one graph6 record per line, blank lines ignored."""
     graphs = []
-    for lineno, line in enumerate(_ascii(data).splitlines(), start=1):
+    # LF only (parse_graph6 strips a CR): splitlines would also break at VT,
+    # FF, FS, GS and RS, reading one malformed line as two records
+    for lineno, line in enumerate(_ascii(data).split("\n"), start=1):
         if not line.strip():
             continue
         try:

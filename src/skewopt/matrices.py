@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .graphs import OrientedGraph
+
+# absolute slack of SpectralSummary.attains_bound, for the SVD's rounding
+ENERGY_TOLERANCE = 1e-8
 
 
 def int_matrix(rows) -> np.ndarray:
@@ -26,26 +28,13 @@ def int_matrix(rows) -> np.ndarray:
     return m
 
 
-def skew_adjacency(og: OrientedGraph, ordering: Sequence[int] | None = None) -> np.ndarray:
-    """The n x n matrix with entry (i, j) = +1 iff arc ordering[i] -> ordering[j].
-
-    With the identity ordering, entry (u, v) is og.sign(u, v).
-    """
+def skew_adjacency(og: OrientedGraph) -> np.ndarray:
+    """The n x n matrix with entry (u, v) = og.sign(u, v): +1 iff arc u -> v."""
     n = og.base.n
-    if ordering is None:
-        pos = list(range(n))
-    else:
-        order = list(ordering)
-        if sorted(order) != list(range(n)):
-            raise ValueError("ordering must be a permutation of 0..n-1")
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
     m = np.zeros((n, n), dtype=np.int64)
     for t, h in og.arcs:
-        i, j = pos[t], pos[h]
-        m[i, j] = 1
-        m[j, i] = -1
+        m[t, h] = 1
+        m[h, t] = -1
     return m
 
 
@@ -118,8 +107,8 @@ class SpectralSummary:
     skew_energy: float
     upper_bound: float
 
-    def attains_bound(self, tolerance: float = 1e-8) -> bool:
-        return self.skew_energy >= self.upper_bound - tolerance
+    def attains_bound(self) -> bool:
+        return self.skew_energy >= self.upper_bound - ENERGY_TOLERANCE
 
 
 def skew_energy(og: OrientedGraph) -> SpectralSummary:

@@ -22,10 +22,9 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .classify import _rounds, classify, match, match_plan
-from .families import FamilyLabel
 from .formats import emit_graph6
 from .graphs import Graph, OrientedGraph
 from .matrices import is_optimum
@@ -34,21 +33,12 @@ from .verify import neighbor_parity_report
 ENUMERATION_ORDER_CAP = 12
 
 
-@dataclass(frozen=True)
-class SwitchingClassIndex:
-    """One representative orientation: a fixed spanning-tree orientation plus
-    one bit per non-tree edge (bit 0 = arc from smaller to larger endpoint)."""
-
-    tree_arcs: tuple[tuple[int, int], ...]
-    free_edges: tuple[tuple[int, int], ...]
-    assignment: int
-
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        free = tuple(
-            (a, b) if not (self.assignment >> i) & 1 else (b, a)
-            for i, (a, b) in enumerate(self.free_edges)
-        )
-        return self.tree_arcs + free
+def _class_arcs(tree_arcs, free, assignment: int) -> tuple[tuple[int, int], ...]:
+    """The tree arcs plus one arc per free edge: bit i of the assignment
+    reverses free edge i, which otherwise runs from smaller to larger end."""
+    return tree_arcs + tuple(
+        (a, b) if not (assignment >> i) & 1 else (b, a) for i, (a, b) in enumerate(free)
+    )
 
 
 def _switching_frame(g: Graph):
@@ -74,7 +64,7 @@ def switching_classes(g: Graph):
         raise ValueError("switching classes are enumerated for connected graphs")
     tree_arcs, free = _switching_frame(g)
     for assignment in range(1 << len(free)):
-        yield OrientedGraph(g, SwitchingClassIndex(tree_arcs, free, assignment).arcs())
+        yield OrientedGraph(g, _class_arcs(tree_arcs, free, assignment))
 
 
 def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
@@ -213,7 +203,7 @@ def find_optimum_orientation(g: Graph, k: int):
     assignment = _least_assignment(g, tree_arcs, free)
     if assignment is None:
         return None
-    og = OrientedGraph(g, SwitchingClassIndex(tree_arcs, free, assignment).arcs())
+    og = OrientedGraph(g, _class_arcs(tree_arcs, free, assignment))
     if not is_optimum(og, k):
         raise RuntimeError("GF(2) elimination disagrees with the Gram matrix")
     return og
@@ -448,47 +438,21 @@ class CensusReport:
         return tuple((n, c[0], c[1]) for n, c in sorted(counts.items()))
 
 
-@dataclass(frozen=True)
-class ConsistencyRecord:
-    """Joint outcome of classification and orientation search. classified is
-    False for k >= 5, which has no catalogue to disagree with."""
-
-    label: FamilyLabel | None
-    optimum_found: bool
-    witness: tuple | None
-    classified: bool = True
-
-    @property
-    def consistent(self) -> bool:
-        return not self.classified or (self.label is not None) == self.optimum_found
-
-
-def theorem_crosscheck(g: Graph, k: int = 4) -> ConsistencyRecord:
+def theorem_crosscheck(g: Graph, k: int = 4) -> CensusRecord:
     """Classify a connected k-regular graph against the catalogue and search
-    it for an optimum orientation by GF(2) elimination; the record is
-    consistent when the graph is optimum-orientable exactly when it is a
-    catalogue member."""
-    classified = k <= 4
-    label = classify(g, k).label if classified else None
+    it for an optimum orientation by GF(2) elimination; the record is a
+    violation when the graph is optimum-orientable but not a catalogue
+    member, or the other way round. For k >= 5 there is no catalogue: the
+    classification is None and there is no violation."""
+    label = classify(g, k).label if k <= 4 else None
     witness = find_optimum_orientation(g, k)
-    return ConsistencyRecord(
-        label,
-        witness is not None,
-        None if witness is None else witness.arcs,
-        classified,
-    )
-
-
-def _census_worker(args) -> CensusRecord:
-    g, k = args
-    record = theorem_crosscheck(g, k)
     return CensusRecord(
         graph6=emit_graph6(g).decode("ascii"),
         n=g.n,
-        has_optimum=record.optimum_found,
-        classification=None if record.label is None else str(record.label),
-        witness=record.witness,
-        violation=not record.consistent,
+        has_optimum=witness is not None,
+        classification=None if label is None else str(label),
+        witness=None if witness is None else witness.arcs,
+        violation=k <= 4 and (label is not None) != (witness is not None),
     )
 
 
@@ -497,7 +461,7 @@ def census(inputs, k: int, *, workers: int = 1) -> CensusReport:
     records, malformed inputs become skip diagnostics instead of errors."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    jobs = []
+    graphs = []
     skipped = []
     for g in inputs:
         if g.n == 0:
@@ -507,10 +471,10 @@ def census(inputs, k: int, *, workers: int = 1) -> CensusReport:
         elif not g.is_connected():
             skipped.append((emit_graph6(g).decode("ascii"), "not connected"))
         else:
-            jobs.append((g, k))
-    if workers == 1 or len(jobs) < 2:
-        records = [_census_worker(job) for job in jobs]
+            graphs.append(g)
+    if workers == 1 or len(graphs) < 2:
+        records = [theorem_crosscheck(g, k) for g in graphs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_census_worker, jobs, chunksize=4))
+            records = list(pool.map(theorem_crosscheck, graphs, repeat(k), chunksize=4))
     return CensusReport(tuple(records), tuple(skipped))

@@ -146,9 +146,9 @@ def test_quartic_census_at_desk_scale():
     for n in range(5, 11):
         for g in corpus[n]:
             record = theorem_crosscheck(g)
-            assert record.consistent, emit_graph6(g)
-            if record.optimum_found:
-                optima.append((n, str(record.label)))
+            assert not record.violation, emit_graph6(g)
+            if record.has_optimum:
+                optima.append((n, record.classification))
     assert sorted(optima) == [(6, "g2"), (8, "g1"), (8, "hj(1)"), (10, "gi(1)")]
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"census took {elapsed:.1f} s"

@@ -244,12 +244,12 @@ def test_classify_nonmember():
 
 def test_theorem_crosscheck_member_and_nonmember():
     record = theorem_crosscheck(build_family(G1))
-    assert record.consistent
-    assert record.label == G1 and record.optimum_found
+    assert not record.violation
+    assert record.classification == str(G1) and record.has_optimum
     assert record.witness is not None
     record = theorem_crosscheck(complete_graph(5))
-    assert record.consistent
-    assert record.label is None and not record.optimum_found
+    assert not record.violation
+    assert record.classification is None and not record.has_optimum
     assert record.witness is None
 
 

@@ -97,6 +97,15 @@ def test_graph6_lines_reports_position():
         parse_graph6_lines(b"A_\nC~\nA\n")
 
 
+def test_graph6_lines_end_at_line_feeds_only():
+    # str.splitlines also ends lines at VT, FF, FS, GS and RS
+    for sep in b"\x0b\x0c\x1c\x1d\x1e":
+        with pytest.raises(FormatError, match="line 1"):
+            parse_graph6_lines(b"C~" + bytes([sep]) + b"C~\n")
+    graphs = parse_graph6_lines(b"A_\r\n\r\nC~\r\n")
+    assert graphs == [Graph(2, [(0, 1)]), Graph(4, list(combinations(range(4), 2)))]
+
+
 def test_arclist_round_trip():
     og = orient_family(G1)
     blob = emit_arclist(og)

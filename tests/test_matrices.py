@@ -52,18 +52,6 @@ def test_skew_adjacency_is_exactly_skew():
         assert not np.any(np.diag(s))
 
 
-def test_skew_adjacency_ordering():
-    og = orient_family(G2)
-    order = [5, 4, 3, 2, 1, 0]
-    s = skew_adjacency(og)
-    t = skew_adjacency(og, order)
-    for i in range(6):
-        for j in range(6):
-            assert t[i, j] == s[order[i], order[j]]
-    with pytest.raises(ValueError):
-        skew_adjacency(og, [0, 0, 1, 2, 3, 4])
-
-
 def test_gram_k2():
     assert np.array_equal(gram(int_matrix([[0, 1], [-1, 0]])), np.eye(2, dtype=np.int64))
 
