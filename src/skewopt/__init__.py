@@ -16,8 +16,8 @@ from .formats import (
 )
 from .graphs import Graph, OrientedGraph, disjoint_union
 from .matrices import (
-    SpectralSummary, gram, gram_eigenvalues, int_matrix, is_optimum, power,
-    skew_adjacency, skew_energy, symmetric_eigenvalues,
+    SpectralSummary, gram, int_matrix, is_optimum, power, skew_adjacency,
+    skew_energy, symmetric_eigenvalues,
 )
 from .search import (
     CensusRecord, CensusReport, census, enumerate_connected_k_regular,
@@ -38,7 +38,7 @@ __all__ = [
     "canonical_blocks", "census", "check_block_identities", "classify",
     "disjoint_union", "doubling_skew_matrix", "emit_arclist", "emit_graph6",
     "enumerate_connected_k_regular", "family_order",
-    "find_optimum_orientation", "gi", "gram", "gram_eigenvalues", "hj",
+    "find_optimum_orientation", "gi", "gram", "hj",
     "int_matrix", "is_optimum", "isomorphic", "neighbor_parity_report",
     "orient_family", "parse_arclist", "parse_graph6", "parse_graph6_lines",
     "power", "signed_walk_counts", "skew_adjacency", "skew_energy",

@@ -7,27 +7,29 @@ isomorphism tests against the candidates whose order matches
 (`families.candidate_members`, which also holds the members for k <= 3);
 there is no catalogue for k >= 5.
 
-The isomorphism engine works on adjacency bitsets (one Python int per
-vertex). Colour refinement splits the vertices from local invariants, and
-two graphs are rejected at the first refinement round whose signature lists
-differ. Otherwise an iterative matcher maps the vertices breadth-first from
-a vertex of the rarest colour, drawing each vertex's candidates from the
-neighbours of its parent's image (the refinement-then-matching scheme of
-McKay and Piperno, "Practical graph isomorphism II", 2014, without
-individualization). One side of every test is a certificate: the signature
-lists of all its refinement rounds and the match plan over its stable
-colours. A member's certificate is computed once per label and cached, so
-classification refines only the input graph; `isomorphic(g, h)` is the same
-routine with h's certificate built on the spot. The enumerator's
-deduplication in `search` keys and matches its small completions on the
-first round's colours alone, which any isomorphism preserves just as well.
+The isomorphism engine reads a graph's `adj` (one int bitset per vertex) and
+`around` (sorted neighbour tuples), built once by `Graph`; the enumerator in
+`search` passes growing lists of the same shape. Colour refinement splits
+the vertices from local invariants, and two graphs are rejected at the first
+refinement round whose signature lists differ. Otherwise an iterative
+matcher maps the vertices breadth-first from a vertex of the rarest colour,
+drawing each vertex's candidates from the neighbours of its parent's image
+(the refinement-then-matching scheme of McKay and Piperno, "Practical graph
+isomorphism II", 2014, without individualization). One side of every test is
+a certificate: the signature lists of all its refinement rounds and the
+match plan over its stable colours. A member's certificate is computed once
+per label and cached, so classification refines only the input graph;
+`isomorphic(g, h)` is the same routine with h's certificate built on the
+spot. The enumerator's deduplication in `search` keys and matches its small
+completions on the first round's colours alone, which any isomorphism
+preserves just as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .families import FamilyLabel, build_family, candidate_members
 from .graphs import Graph
@@ -46,15 +48,6 @@ class Classification:
         return self.label is not None
 
 
-def _bitsets(g: Graph) -> list[int]:
-    """Adjacency as one int per vertex, bit w of entry v set when vw is an edge."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def _members(mask: int) -> list[int]:
     out = []
     while mask:
@@ -64,7 +57,7 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _rounds(adj: list[int], around: list[list[int]]):
+def _rounds(adj: Sequence[int], around: Sequence[Sequence[int]]):
     """Colour refinement of a graph given as bitsets and neighbour lists:
     yield each round's colours and sorted signature list, up to the first
     round that splits no colour class.
@@ -96,7 +89,7 @@ def _rounds(adj: list[int], around: list[list[int]]):
                 for v, nbrs in enumerate(around)]
 
 
-def match_plan(adj: list[int], colours: list[int]):
+def match_plan(adj: Sequence[int], colours: list[int]):
     """The order in which `match` maps the vertices of a coloured graph:
     breadth-first from a vertex of the rarest colour, component by component.
 
@@ -134,7 +127,7 @@ def match_plan(adj: list[int], colours: list[int]):
     return order, steps
 
 
-def match(plan, adj: list[int], colours: list[int]):
+def match(plan, adj: Sequence[int], colours: list[int]):
     """A colour- and adjacency-preserving map from the planned graph onto
     this one, as a list, or None.
 
@@ -199,11 +192,10 @@ class _Certificate(NamedTuple):
 
 
 def _certificate(g: Graph) -> _Certificate:
-    adj = _bitsets(g)
     signatures = []
-    for colours, ordered in _rounds(adj, [list(g.neighbors(v)) for v in range(g.n)]):
+    for colours, ordered in _rounds(g.adj, g.around):
         signatures.append(ordered)
-    return _Certificate(g.n, g.edge_count, tuple(signatures), match_plan(adj, colours))
+    return _Certificate(g.n, g.edge_count, tuple(signatures), match_plan(g.adj, colours))
 
 
 # a member refines in one or two rounds, so its certificate is about the size
@@ -226,12 +218,11 @@ def _onto(g: Graph, cert: _Certificate):
     """
     if g.n != cert.n or g.edge_count != cert.edge_count:
         return None
-    adj = _bitsets(g)
-    rounds = _rounds(adj, [list(g.neighbors(v)) for v in range(g.n)])
+    rounds = _rounds(g.adj, g.around)
     for signatures, (colours, ordered) in zip(cert.signatures, rounds):
         if ordered != signatures:
             return None
-    found = match(cert.plan, adj, colours)
+    found = match(cert.plan, g.adj, colours)
     if found is None:
         return None
     mapping = [0] * g.n

@@ -18,6 +18,8 @@ GRAPH6_ORDER_LIMIT = 1 << 18
 _PLUS_63 = bytes((b + 63) % 256 for b in range(256))
 _G6_OUT_OF_RANGE = re.compile(rb"[^?-~]")  # bytes outside 63..126
 _G6_NONZERO = re.compile(rb"[^?]")  # bytes holding a set bit
+# str.split would split arc lists at VT, FF, FS, GS, RS and US; CR ends lines
+_ARC_CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]|\r(?!\n|\Z)")
 
 
 class FormatError(ValueError):
@@ -46,7 +48,7 @@ def _integer(field: str) -> int:
 
 def parse_graph6(data) -> Graph:
     """Decode one graph6 record (optional >>graph6<< header, strict padding)."""
-    text = _ascii(data).rstrip("\r\n")
+    text = _ascii(data).removesuffix("\n").removesuffix("\r")
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER):]
     if not text:
@@ -107,10 +109,10 @@ def emit_graph6(g: Graph) -> bytes:
 def parse_graph6_lines(data) -> list[Graph]:
     """Decode a corpus: one graph6 record per line, blank lines ignored."""
     graphs = []
-    # LF only (parse_graph6 strips a CR): splitlines would also break at VT,
-    # FF, FS, GS and RS, reading one malformed line as two records
+    # LF only, and blank means spaces and tabs: splitlines and strip would
+    # also take VT, FF, FS, GS and RS, hiding a malformed line
     for lineno, line in enumerate(_ascii(data).split("\n"), start=1):
-        if not line.strip():
+        if not line.removesuffix("\r").strip(" \t"):
             continue
         try:
             graphs.append(parse_graph6(line))
@@ -125,7 +127,12 @@ def parse_arclist(data, max_order: int | None = None) -> OrientedGraph:
     An order above max_order raises ValueError (not FormatError: the input
     may be well-formed) before any vertex is allocated.
     """
-    lines = _ascii(data).split("\n")
+    text = _ascii(data)
+    bad = _ARC_CONTROL.search(text)
+    if bad:
+        lineno = text.count("\n", 0, bad.start()) + 1
+        raise FormatError(f"line {lineno}: control byte {bad.group()!r}")
+    lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

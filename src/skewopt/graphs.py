@@ -1,8 +1,9 @@
 """Simple undirected graphs and edge orientations.
 
 Vertices are dense integers 0..n-1.  Both graph classes are immutable after
-construction; adjacency sets are precomputed so neighborhood queries cost
-O(deg), and connectivity is computed on first request and kept.
+construction.  A Graph builds its adjacency once, as `adj` (bit w of adj[v]
+set when vw is an edge) and `around` (the neighbours of each vertex, sorted),
+and its connectivity on first request.
 """
 
 from __future__ import annotations
@@ -25,38 +26,44 @@ class Graph:
     collapsed; self-loops and out-of-range endpoints are rejected.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_connected")
+    __slots__ = ("n", "edges", "adj", "around", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         self.n = int(n)
         self.edges = tuple(sorted({_normalize_edge(u, v, self.n) for u, v in edges}))
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+        # sorted edges: each vertex meets its neighbours in ascending order
+        adj = [0] * self.n
+        around: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            around[u].append(v)
+            around[v].append(u)
+        self.adj = tuple(adj)
+        self.around = tuple(map(tuple, around))
         self._connected: bool | None = None
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self.around[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.around[v])
 
     def degrees(self) -> list[int]:
-        return [len(s) for s in self._adj]
+        return [len(a) for a in self.around]
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self._adj), default=0)
+        return max(map(len, self.around), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u] if 0 <= u < self.n else False
+        # a shift by a negative count raises, so v is range-checked too
+        return 0 <= u < self.n and 0 <= v and bool(self.adj[u] >> v & 1)
 
     def common_neighbors(self, u: int, v: int) -> frozenset[int]:
         """N(u) intersect N(v) for distinct vertices u, v."""
@@ -64,10 +71,10 @@ class Graph:
             raise ValueError(f"common_neighbors needs distinct vertices, got {u} twice")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex out of range: ({u}, {v}) with n={self.n}")
-        return self._adj[u] & self._adj[v]
+        return frozenset(self.around[u]).intersection(self.around[v])
 
     def is_regular(self, k: int) -> bool:
-        return all(len(s) == k for s in self._adj)
+        return all(len(a) == k for a in self.around)
 
     def is_connected(self) -> bool:
         """True iff the graph has a single component (vacuously for n=0)."""
@@ -75,7 +82,7 @@ class Graph:
             seen = {0} if self.n else set()
             stack = list(seen)
             while stack:
-                for w in self._adj[stack.pop()]:
+                for w in self.around[stack.pop()]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -83,7 +90,7 @@ class Graph:
         return self._connected
 
     def is_triangle_free(self) -> bool:
-        return all(not (self._adj[u] & self._adj[v]) for u, v in self.edges)
+        return not any(self.adj[u] & self.adj[v] for u, v in self.edges)
 
     def relabel(self, permutation: Sequence[int]) -> "Graph":
         """Image under vertex map v -> permutation[v]."""

@@ -88,11 +88,6 @@ def symmetric_eigenvalues(matrix) -> list[float]:
     return sorted((float(x) for x in np.linalg.eigvalsh(a)), reverse=True)
 
 
-def gram_eigenvalues(og: OrientedGraph) -> list[float]:
-    """Eigenvalues of S^T S, nonincreasing: the squared singular values of S."""
-    return list(skew_energy(og).gram_eigenvalues)
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
     """Gram spectrum of an orientation plus the derived energy figures.

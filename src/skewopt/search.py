@@ -48,7 +48,7 @@ def _switching_frame(g: Graph):
     queue = deque(seen)
     while queue:
         p = queue.popleft()
-        for c in sorted(g.neighbors(p)):
+        for c in g.around[p]:
             if c not in seen:
                 seen.add(c)
                 tree_arcs.append((p, c))
@@ -87,7 +87,7 @@ def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
     # each product is (-1)**(value of the term's form)
     terms: dict[tuple[int, int], list[int]] = {}
     for w in range(g.n):
-        around = sorted(g.neighbors(w))
+        around = g.around[w]
         for i, u in enumerate(around):
             for v in around[i + 1:]:
                 t = direction[(min(w, u), max(w, u))] ^ direction[(min(w, v), max(w, v))]

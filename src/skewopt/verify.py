@@ -4,7 +4,7 @@ Two independent routes to the same Gram statement: common-neighborhood parity
 filters on the underlying graph, and explicit signed-walk enumeration on the
 orientation. Neither shares code with the matrix pipeline, so both can
 cross-check it. The parity report runs on the production path (the search
-prefilter, `verify`) and counts common neighbours with adjacency bitsets;
+prefilter, `verify`) and counts common neighbours with the graph's bitsets;
 the walk counts are deliberately naive oracles.
 """
 
@@ -57,14 +57,11 @@ def neighbor_parity_report(g: Graph) -> NeighborhoodReport:
     """
     # only pairs at distance two share a neighbour, and a count of 0 is even,
     # so each u scans the bits above it in its 2-ball
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = g.adj
     violations = []
     for u, a in enumerate(adj):
         ball = 0
-        for w in g.neighbors(u):
+        for w in g.around[u]:
             ball |= adj[w]
         ball >>= u + 1
         while ball:

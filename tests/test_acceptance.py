@@ -226,6 +226,21 @@ def test_numerics_against_independent_roots():
         summary = skew_energy(og)
         assert summary.skew_energy <= summary.upper_bound + 1e-8
 
+    # the Gram spectrum the tools report, from the SVD of S, against the
+    # exact roots of S^T S built here from the arcs
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+        og = random_orientation(Graph(n, edges), rng)
+        s = [[0] * n for _ in range(n)]
+        for t, h in og.arcs:
+            s[t][h], s[h][t] = 1, -1
+        q = [[sum(row[i] * row[j] for row in s) for j in range(n)] for i in range(n)]
+        reference = [float(x) for x in eigenvalues_by_bisection(q)]
+        ours = skew_energy(og).gram_eigenvalues
+        assert len(ours) == n
+        assert max(abs(a - b) for a, b in zip(ours, reference)) <= 1e-8
+
 
 @criterion(10)
 def test_formats_round_trip_over_census_corpus():

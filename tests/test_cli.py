@@ -405,6 +405,9 @@ def test_io_error_codes(tmp_path):
     bad_arcs = tmp_path / "bad.arcs"
     bad_arcs.write_bytes(b"2 1\n0 0\n")
     assert run(["verify", str(bad_arcs)]) == 2
+    # str.split would read FS and US as field separators and accept the arc
+    bad_arcs.write_bytes(b"2\x1c1\n0\x1f1\n")
+    assert run(["verify", str(bad_arcs)]) == 2
 
 
 def test_semantic_errors_exit_three(tmp_path):

@@ -83,6 +83,9 @@ def test_graph6_rejects_malformed_records():
         b"~??@",             # non-canonical long form for a small order
         b"~~",               # unsupported huge order prefix
         b"~?",               # truncated long order field
+        b"A_\r\r",           # a record ends in at most one LF, after one CR
+        b"A_\n\n",
+        b"A_\r\r\n",
     ]
     for blob in cases:
         with pytest.raises(FormatError):
@@ -104,6 +107,10 @@ def test_graph6_lines_end_at_line_feeds_only():
             parse_graph6_lines(b"C~" + bytes([sep]) + b"C~\n")
     graphs = parse_graph6_lines(b"A_\r\n\r\nC~\r\n")
     assert graphs == [Graph(2, [(0, 1)]), Graph(4, list(combinations(range(4), 2)))]
+    # a blank line holds spaces and tabs only
+    assert parse_graph6_lines(b"A_\n \t\r\nC~\n") == graphs
+    with pytest.raises(FormatError, match="line 2"):
+        parse_graph6_lines(b"A_\n\x1c\x0b\nC~\n")
 
 
 def test_arclist_round_trip():
@@ -122,6 +129,9 @@ def test_arclist_layout():
 
 def test_arclist_tolerates_trailing_blank_lines():
     assert parse_arclist(b"2 1\n0 1\n\n\n").base == Graph(2, [(0, 1)])
+    # CRLF line ends, tabs, and blank lines of spaces and tabs
+    for blob in (b"2 1\r\n0 1\r\n\r\n \t\n", b"2\t1\n 0 \t 1 \n", b"2 1\n0 1\r"):
+        assert parse_arclist(blob).base == Graph(2, [(0, 1)])
 
 
 def test_arclist_rejects_malformed_records():
@@ -138,7 +148,12 @@ def test_arclist_rejects_malformed_records():
         b"3 2\n0 1\n0 1\n",       # duplicate arc
         b"2 1\n0\n",              # short arc line
         b"2 1\nx y\n",            # non-integer vertices
-    ]
+        b"2\x1c1\n0\x1f1\n",      # FS and US are not separators
+        b"2 1\n0 1\n\x0b\n\x0c\n",  # VT and FF do not make a line blank
+        b"2 1\n0 1\r\r\n",        # one CR may end a line
+        b"2 1\n0\r1\n",           # and only end it
+        b"2 1\n0 1\x00\n",        # any other control byte
+    ] + [b"2 1\n0" + bytes([c]) + b"1\n" for c in b"\x0b\x0c\x1c\x1d\x1e\x1f"]
     for blob in cases:
         with pytest.raises(FormatError):
             parse_arclist(blob)
@@ -186,6 +201,8 @@ def test_parsers_raise_only_format_errors(data):
 def test_arclist_line_numbers_in_errors():
     with pytest.raises(FormatError, match="line 3"):
         parse_arclist(b"3 2\n0 1\n1 1\n")
+    with pytest.raises(FormatError, match="line 3"):
+        parse_arclist(b"2 1\n0 1\n\x0c\n")
 
 
 def test_format_error_is_value_error():

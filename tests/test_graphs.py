@@ -116,6 +116,25 @@ def test_relabel_preserves_structure():
         assert h.has_edge(perm[u], perm[v])
 
 
+def test_adjacency_forms_agree_with_edges():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for h in (g, g.relabel(perm)):
+            arcs = set(h.edges) | {(v, u) for u, v in h.edges}
+            for u in range(n):
+                assert h.around[u] == tuple(v for v in range(n) if (u, v) in arcs)
+                assert h.neighbors(u) == h.around[u]
+                assert h.adj[u] == sum(1 << v for v in h.around[u])
+                for v in range(-2, n + 2):
+                    assert h.has_edge(u, v) == ((u, v) in arcs)
+            for v in range(-1, n + 1):
+                assert not h.has_edge(-1, v) and not h.has_edge(n, v)
+
+
 def test_relabel_rejects_non_permutation():
     with pytest.raises(ValueError):
         Graph(3, [(0, 1)]).relabel([0, 0, 1])

@@ -10,8 +10,8 @@ import pytest
 
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family, gi, gram,
-    gram_eigenvalues, hj, int_matrix, is_optimum, orient_family, power,
-    skew_adjacency, skew_energy, switching_classes, symmetric_eigenvalues,
+    hj, int_matrix, is_optimum, orient_family, power, skew_adjacency, skew_energy,
+    switching_classes, symmetric_eigenvalues,
 )
 from skewopt.search import enumerate_connected_k_regular
 
@@ -203,7 +203,7 @@ def test_symmetric_eigenvalues_sum_is_trace():
 
 
 def test_gram_eigenvalues_of_member():
-    vals = gram_eigenvalues(orient_family(G2))
+    vals = skew_energy(orient_family(G2)).gram_eigenvalues
     assert len(vals) == 6
     assert all(abs(v - 4.0) < 1e-10 for v in vals)
     assert all(v >= 0 for v in vals)
