@@ -1,9 +1,9 @@
 """Simple undirected graphs and edge orientations.
 
 Vertices are dense integers 0..n-1.  Both graph classes are immutable after
-construction.  A Graph builds its adjacency once, as `adj` (bit w of adj[v]
-set when vw is an edge) and `around` (the neighbours of each vertex, sorted),
-and its connectivity on first request.
+construction.  A Graph keeps `around`, each vertex's sorted neighbours; its
+bitsets `adj` (bit w of adj[v] set when vw is an edge, about n^2/15 bytes in
+all) and its connectivity are built on first request and kept.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class Graph:
     collapsed; self-loops and out-of-range endpoints are rejected.
     """
 
-    __slots__ = ("n", "edges", "adj", "around", "_connected")
+    __slots__ = ("n", "edges", "around", "_bits", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -34,16 +34,19 @@ class Graph:
         self.n = int(n)
         self.edges = tuple(sorted({_normalize_edge(u, v, self.n) for u, v in edges}))
         # sorted edges: each vertex meets its neighbours in ascending order
-        adj = [0] * self.n
         around: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
             around[u].append(v)
             around[v].append(u)
-        self.adj = tuple(adj)
         self.around = tuple(map(tuple, around))
+        self._bits: tuple[int, ...] | None = None
         self._connected: bool | None = None
+
+    @property
+    def adj(self) -> tuple[int, ...]:
+        if self._bits is None:
+            self._bits = tuple(sum(1 << w for w in a) for a in self.around)
+        return self._bits
 
     @property
     def edge_count(self) -> int:

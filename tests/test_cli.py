@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from itertools import combinations
@@ -11,6 +13,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewopt
 from skewopt import (
     G1, G2, Graph, OrientedGraph, build_family, emit_arclist, emit_graph6, hj,
     is_optimum, orient_family,
@@ -244,6 +247,37 @@ def test_generate_oriented_json_above_the_arclist_limit_exits_three(capsysbinary
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert str(ARCLIST_ORDER_LIMIT).encode("ascii") in captured.err
+
+
+# run in a fresh interpreter, so that its peak RSS is this generate's alone
+_TIMED_GENERATE = """
+import os, resource, sys, time
+from skewopt.cli import run
+start = time.perf_counter()
+code = run(["generate", "--output", os.devnull] + sys.argv[1:])
+print(code, time.perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_generate_large_member_builds_no_bitsets():
+    # hj(16383) has 65536 vertices. Arc lists and the JSON report read only
+    # the edges and arcs; bitsets for it would take about n^2/15 = 286 MB.
+    # On x86-64 Linux with Python 3.11 the peak is about 90-125 MB, and
+    # 380-410 MB if Graph builds its bitsets with its edges (ru_maxrss is in
+    # KiB on Linux)
+    root = os.path.dirname(os.path.dirname(skewopt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH")))))
+    for extra in (["--oriented"], ["--format", "json"]):
+        done = subprocess.run(
+            [sys.executable, "-c", _TIMED_GENERATE, "--family", "hj(16383)", *extra],
+            env=env, capture_output=True, check=True, timeout=60,
+        )
+        code, seconds, peak_kib = done.stdout.split()
+        assert int(code) == 0, extra
+        assert float(seconds) < 10.0, extra
+        assert int(peak_kib) < 250 * 1024, extra
 
 
 def test_classify_large_relabeled_member(tmp_path, capsysbinary):
