@@ -181,14 +181,3 @@ class OrientedGraph:
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.base.n}, arcs={len(self.arcs)})"
 
-
-def disjoint_union(a: OrientedGraph, b: OrientedGraph) -> OrientedGraph:
-    """Side-by-side union; b's vertices are shifted up by a's vertex count."""
-    off = a.base.n
-    base = Graph(
-        off + b.base.n,
-        list(a.base.edges) + [(u + off, v + off) for u, v in b.base.edges],
-    )
-    return OrientedGraph(
-        base, list(a.arcs) + [(t + off, h + off) for t, h in b.arcs]
-    )

@@ -1,10 +1,9 @@
-"""Exact integer matrix algebra for skew-adjacency matrices, plus the
-spectral figures computed by LAPACK.
+"""Skew-adjacency matrices, the exact Gram test, and the spectral figures
+computed by LAPACK.
 
-Matrices are numpy int64 arrays; every structural predicate is decided in
-exact integer arithmetic.  Floats appear only in eigenvalue and energy
-reporting: the energy and the Gram spectrum come from one SVD of S, and
-symmetric spectra from eigvalsh.
+Matrices are numpy int64 arrays; `is_optimum` decides S^T S = kI in exact
+integer arithmetic from the arcs.  Floats appear only in energy reporting:
+the energy and the Gram spectrum come from one SVD of S.
 """
 
 from __future__ import annotations
@@ -38,20 +37,6 @@ def skew_adjacency(og: OrientedGraph) -> np.ndarray:
     return m
 
 
-def gram(m: np.ndarray) -> np.ndarray:
-    """Exact M^T M."""
-    return m.T @ m
-
-
-def power(m: np.ndarray, k: int) -> np.ndarray:
-    """Exact M^k for k >= 1."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("power needs a square matrix")
-    if k < 1:
-        raise ValueError(f"power exponent must be >= 1, got {k}")
-    return np.linalg.matrix_power(m, k)
-
-
 def is_optimum(og: OrientedGraph, k: int) -> bool:
     """True iff the Gram of the skew-adjacency matrix equals k*I exactly.
 
@@ -74,18 +59,6 @@ def is_optimum(og: OrientedGraph, k: int) -> bool:
             for v, b in signs[i + 1:]:
                 entries[u, v] = entries.get((u, v), 0) + a * b
     return not any(entries.values())
-
-
-def symmetric_eigenvalues(matrix) -> list[float]:
-    """All eigenvalues of a symmetric matrix, nonincreasing (LAPACK eigvalsh)."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eigensolver needs a square matrix")
-    if not np.array_equal(a, a.T):
-        raise ValueError("eigensolver needs a symmetric matrix")
-    if a.shape[0] == 0:
-        return []
-    return sorted((float(x) for x in np.linalg.eigvalsh(a)), reverse=True)
 
 
 @dataclass(frozen=True)

@@ -58,15 +58,6 @@ def _switching_frame(g: Graph):
     return tuple(tree_arcs), free
 
 
-def switching_classes(g: Graph):
-    """Yield one orientation per switching class, in assignment order."""
-    if not g.is_connected():
-        raise ValueError("switching classes are enumerated for connected graphs")
-    tree_arcs, free = _switching_frame(g)
-    for assignment in range(1 << len(free)):
-        yield OrientedGraph(g, _class_arcs(tree_arcs, free, assignment))
-
-
 def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
     """Smallest assignment of the free edges that makes every off-diagonal
     Gram entry vanish, or None. Every vertex pair must have an even number

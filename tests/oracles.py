@@ -5,18 +5,24 @@ package under test: exact rational characteristic polynomials with Sturm
 bisection instead of LAPACK eigensolvers, direct enumeration of all 2^m
 orientations instead of switching classes, labeled-graph backtracking with
 networkx isomorphism and automorphism counts instead of orderly generation,
-a pair-by-pair common-neighbour count instead of adjacency bitsets, and the
-named-vertex recursion for the ladder families gi/hj instead of the paper's
-block matrices.
+a pair-by-pair common-neighbour count instead of adjacency bitsets, signed
+walks counted one by one instead of matrix products, a switching-class
+enumerator with its own breadth-first frame, and the named-vertex recursion
+for the ladder families gi/hj instead of the paper's block matrices. Only
+public names of skewopt are imported, as test_oracles checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
 import networkx as nx
+import numpy as np
+
+from skewopt import Graph, OrientedGraph, skew_adjacency
 
 # ---------------------------------------------------------------------------
 # exact polynomial arithmetic (coefficients low degree first)
@@ -40,14 +46,6 @@ def _add(p, q):
 
 def _scale(p, c):
     return _trim([x * c for x in p])
-
-
-def _mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
 
 
 def _divmod(p, q):
@@ -374,6 +372,127 @@ def neighbor_parity_violations(n: int, edges, mode: str) -> tuple:
             if bad:
                 violations.append((u, v, count, adjacent))
     return tuple(violations)
+
+
+# ---------------------------------------------------------------------------
+# signed walks, one by one, and the disjoint union
+# ---------------------------------------------------------------------------
+
+WALK_LENGTH_CAP = 8
+
+
+@dataclass(frozen=True)
+class SignedWalkCount:
+    positive: int
+    negative: int
+
+    @property
+    def total(self) -> int:
+        return self.positive + self.negative
+
+    @property
+    def difference(self) -> int:
+        return self.positive - self.negative
+
+
+def signed_walk_counts(og, u: int, v: int, k: int) -> SignedWalkCount:
+    """Count positive and negative length-k walks u -> v by explicit search.
+
+    A walk's sign is the product of the skew entries along its steps. The
+    enumeration is a plain depth-first expansion, intentionally not a matrix
+    power, so it can serve as an oracle for one.
+    """
+    base = og.base
+    if not 0 <= u < base.n or not 0 <= v < base.n:
+        raise ValueError(f"vertices must lie in 0..{base.n - 1}")
+    if not 1 <= k <= WALK_LENGTH_CAP:
+        raise ValueError(f"walk length must lie in 1..{WALK_LENGTH_CAP}, got {k}")
+    counts = [0, 0]  # positive, negative
+    # stack of (vertex, steps taken, sign so far)
+    stack = [(u, 0, 1)]
+    while stack:
+        x, steps, sign = stack.pop()
+        if steps == k:
+            if x == v:
+                counts[sign < 0] += 1
+            continue
+        for y in base.neighbors(x):
+            stack.append((y, steps + 1, sign * og.sign(x, y)))
+    return SignedWalkCount(*counts)
+
+
+def walk_identity_holds(og, k_max: int) -> bool:
+    """True iff enumerated signed-walk differences match the powers of the
+    package's skew matrix, for every ordered vertex pair and every length
+    1..k_max."""
+    if not 1 <= k_max <= WALK_LENGTH_CAP:
+        raise ValueError(f"k_max must lie in 1..{WALK_LENGTH_CAP}, got {k_max}")
+    s = skew_adjacency(og)
+    powers = [np.linalg.matrix_power(s, k) for k in range(1, k_max + 1)]
+    vertices = range(og.base.n)
+    return all(
+        signed_walk_counts(og, u, v, k).difference == sk[u, v]
+        for k, sk in enumerate(powers, 1) for u in vertices for v in vertices
+    )
+
+
+def two_walk_balanced(og) -> bool:
+    """True iff every pair of distinct vertices has balanced signed 2-walks.
+
+    For a k-regular oriented graph this is equivalent to the Gram matrix
+    being exactly k times the identity; non-regular inputs are rejected so
+    the equivalence is never silently weakened.
+    """
+    if len(set(og.base.degrees())) > 1:
+        raise ValueError("two-walk balance test needs a regular graph")
+    return all(
+        signed_walk_counts(og, u, v, 2).difference == 0
+        for u, v in combinations(range(og.base.n), 2)
+    )
+
+
+def disjoint_union(a, b):
+    """Side-by-side union of two oriented graphs; b's vertices are shifted
+    up by a's vertex count."""
+    off = a.base.n
+    shifted = [(u + off, v + off) for u, v in b.base.edges]
+    return OrientedGraph(Graph(off + b.base.n, a.base.edges + tuple(shifted)),
+                         a.arcs + tuple((t + off, h + off) for t, h in b.arcs))
+
+
+# ---------------------------------------------------------------------------
+# switching classes in the search's witness frame, written out separately
+# ---------------------------------------------------------------------------
+
+
+def switching_frame(g) -> tuple[list, list]:
+    """(tree arcs, free edges): the arcs parent -> child of the breadth-first
+    tree from vertex 0 that visits children in ascending order, and the
+    other edges, sorted."""
+    parent = {0: None} if g.n else {}
+    order = list(parent)
+    for p in order:  # the list grows while it is read: a queue
+        for c in sorted(g.neighbors(p)):
+            if c not in parent:
+                parent[c] = p
+                order.append(c)
+    tree = [(parent[c], c) for c in order[1:]]
+    tree_edges = {(min(e), max(e)) for e in tree}
+    free = sorted({(min(e), max(e)) for e in g.edges} - tree_edges)
+    return tree, free
+
+
+def switching_classes(g):
+    """Yield one orientation per switching class of a connected graph, in
+    assignment order: the tree arcs are fixed, and free edge i runs from its
+    smaller end to its larger unless bit i of the assignment reverses it."""
+    tree, free = switching_frame(g)
+    if len(tree) < g.n - 1:
+        raise ValueError("switching classes are enumerated for connected graphs")
+    for assignment in range(1 << len(free)):
+        yield OrientedGraph(g, tree + [
+            (b, a) if assignment >> i & 1 else (a, b) for i, (a, b) in enumerate(free)
+        ])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from oracles import ladder_arcs
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, BlockSet, FamilyLabel, block_skew_matrix,
     build_family, canonical_blocks, check_block_identities,
-    doubling_skew_matrix, family_order, gi, gram, hj, int_matrix, is_optimum,
+    doubling_skew_matrix, family_order, gi, hj, int_matrix, is_optimum,
     orient_family, skew_adjacency,
 )
 
@@ -68,7 +68,7 @@ def test_sporadic_orientations_match_transcriptions(label, transcribed):
 @pytest.mark.parametrize("transcribed", [TRANSCRIBED_8, TRANSCRIBED_6, TRANSCRIBED_14])
 def test_transcriptions_have_4i_gram(transcribed):
     s = int_matrix(transcribed)
-    assert np.array_equal(gram(s), 4 * np.eye(s.shape[0], dtype=np.int64))
+    assert np.array_equal(s.T @ s, 4 * np.eye(s.shape[0], dtype=np.int64))
 
 
 def test_label_parse_and_format():
@@ -185,7 +185,7 @@ def test_doubling_matrices():
     for d in range(1, 6):
         s = doubling_skew_matrix(d)
         assert np.array_equal(s.T, -s)
-        assert np.array_equal(gram(s), d * np.eye(1 << d, dtype=np.int64))
+        assert np.array_equal(s.T @ s, d * np.eye(1 << d, dtype=np.int64))
     with pytest.raises(ValueError):
         doubling_skew_matrix(0)
 
@@ -262,7 +262,7 @@ def test_block_skew_matrix_shapes_and_grams():
         m = block_skew_matrix(label)
         assert m.shape == (n, n)
         assert np.array_equal(m.T, -m)
-        assert np.array_equal(gram(m), 4 * np.eye(n, dtype=np.int64))
+        assert np.array_equal(m.T @ m, 4 * np.eye(n, dtype=np.int64))
     with pytest.raises(ValueError):
         block_skew_matrix(G1)
 
@@ -294,7 +294,7 @@ def test_block_substitution_row_permuted_b():
     bs = canonical_blocks()
     permuted = BlockSet(a=bs.a, b=bs.b[[1, 0, 2, 3], :], c=bs.c, d=bs.d)
     m = block_skew_matrix(gi(1), permuted)
-    assert np.array_equal(gram(m), 4 * np.eye(10, dtype=np.int64))
+    assert np.array_equal(m.T @ m, 4 * np.eye(10, dtype=np.int64))
 
 
 def test_block_substitution_failure_is_reported():

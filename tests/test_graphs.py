@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from oracles import disjoint_union
 from skewopt import (
-    G1, G2, Graph, OrientedGraph, build_family, disjoint_union, gi, hj,
-    is_optimum, orient_family,
+    G1, G2, Graph, OrientedGraph, build_family, gi, hj, is_optimum, orient_family,
 )
 
 

@@ -1,0 +1,47 @@
+"""tests/oracles.py stays independent of the package internals: from
+skewopt it imports only the public names of skewopt.__all__."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import skewopt
+
+
+def imports_past_the_api(source: str) -> list[str]:
+    """Each skewopt import in the source other than a public name taken by
+    `from skewopt import`: the bare package (whose attributes reach the
+    submodules), a submodule, a private name or a name outside __all__."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "skewopt"]
+        elif not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        elif node.module.startswith("skewopt."):
+            found.append(node.module)
+        elif node.module == "skewopt":
+            found += [a.name for a in node.names
+                      if a.name.startswith("_") or a.name not in skewopt.__all__]
+    return found
+
+
+def test_oracles_import_only_public_names():
+    source = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
+    assert "from skewopt import" in source
+    assert imports_past_the_api(source) == []
+
+
+def test_import_check_flags_internals():
+    assert imports_past_the_api("from skewopt import Graph\nimport numpy") == []
+    for line, flagged in (
+        ("import skewopt", "skewopt"),
+        ("import skewopt.search as s", "skewopt.search"),
+        ("from skewopt.search import census", "skewopt.search"),
+        ("from skewopt import search", "search"),
+        ("from skewopt import _rounds", "_rounds"),
+        ("from skewopt import Graph, gram", "gram"),
+        ("def f():\n    from skewopt import *", "*"),
+    ):
+        assert imports_past_the_api(line) == [flagged], line

@@ -8,18 +8,22 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_has_optimum, connected_regular_class_count
+from oracles import (
+    brute_force_has_optimum, connected_regular_class_count, switching_classes,
+    switching_frame,
+)
 from skewopt import (
-    C4, G2, K4, Graph, OrientedGraph, build_family,
-    census, emit_graph6, find_optimum_orientation, gi, hj, is_optimum, isomorphic,
-    neighbor_parity_report, orient_family, parse_graph6, switching_classes,
+    C4, G2, K4, Graph, OrientedGraph, build_family, candidate_members, census,
+    classify, emit_graph6, find_optimum_orientation, gi, hj, is_optimum,
+    isomorphic, neighbor_parity_report, orient_family, parse_graph6,
     theorem_crosscheck,
 )
 from skewopt.cli import run
 from skewopt.search import (
-    ENUMERATION_ORDER_CAP, _class_arcs, _switching_frame,
-    enumerate_connected_k_regular,
+    ENUMERATION_ORDER_CAP, _class_arcs, enumerate_connected_k_regular,
 )
 
 
@@ -63,9 +67,9 @@ def all_orientations(g: Graph):
 
 
 def first_optimum_class(g: Graph, k: int):
-    """Arcs of the first class of switching_classes(g) whose Gram is k*I,
-    with the Grams of the same assignments taken in numpy batches."""
-    tree_arcs, free = _switching_frame(g)
+    """Arcs of the first class of the oracle's switching_classes(g) whose
+    Gram is k*I, with the Grams of those assignments taken in numpy batches."""
+    tree_arcs, free = switching_frame(g)
     n, f = g.n, len(free)
     base = np.zeros((n, n))
     for t, h in tree_arcs:
@@ -175,7 +179,7 @@ def test_witness_is_first_optimum_class():
     optima = 0
     for g, k in cases:
         expected = first_optimum_class(g, k)
-        if len(_switching_frame(g)[1]) <= 10:
+        if len(switching_frame(g)[1]) <= 10:
             direct = next((og.arcs for og in switching_classes(g)
                            if is_optimum(og, k)), None)
             assert direct == expected
@@ -206,6 +210,32 @@ def test_search_survives_relabeling_and_switching():
         found = find_optimum_orientation(moved.base, 4)
         assert found is not None and found.base == moved.base
         assert is_optimum(found, 4)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([lb for n in range(61) for lb in candidate_members(n, 4)]),
+       st.data())
+def test_answers_survive_relabeling_and_switching_to_sixty(label, data):
+    og = orient_family(label)
+    n = og.base.n
+    perm = data.draw(st.permutations(range(n)))
+    moved = og.relabel(perm).switch(data.draw(st.sets(st.integers(0, n - 1))))
+    assert is_optimum(moved, 4)
+    g = moved.base
+    found = find_optimum_orientation(g, 4)
+    assert found is not None and found.base == g and is_optimum(found, 4)
+    assert classify(g).label == label
+    # a 2-switch, ab and cd to ac and bd, keeps the graph 4-regular
+    (a, b), (c, d) = data.draw(
+        st.lists(st.sampled_from(g.edges), min_size=2, max_size=2, unique=True))
+    if data.draw(st.booleans()):
+        c, d = d, c
+    ac, bd = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+    edges = set(g.edges)
+    assume(len({a, b, c, d}) == 4 and ac not in edges and bd not in edges)
+    near = Graph(n, edges - {(a, b), (min(c, d), max(c, d))} | {ac, bd})
+    assume(near.is_connected())
+    assert not theorem_crosscheck(near).violation
 
 
 def test_enumeration_counts():

@@ -6,10 +6,13 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from oracles import neighbor_parity_violations
+from oracles import (
+    neighbor_parity_violations, signed_walk_counts, two_walk_balanced,
+    walk_identity_holds,
+)
 from skewopt import (
     G1, G2, Graph, OrientedGraph, gi, hj, is_optimum, neighbor_parity_report,
-    orient_family, signed_walk_counts, two_walk_balanced, walk_identity_holds,
+    orient_family,
 )
 from skewopt.search import enumerate_connected_k_regular
 
