@@ -211,7 +211,19 @@ def enumerate_connected_k_regular(n: int, k: int):
     class is yielded. A vertex's colour is the rank of its signature, which
     an isomorphism carries over, in the sorted signature list, which the
     two completions share; so every isomorphism between two completions of
-    a bucket preserves the colours and `match` finds it.
+    a bucket preserves the colours and `match` finds it. A kept class holds
+    its adjacency and colours, and its match plan is built when a later
+    completion first lands in its bucket.
+
+    Finishing vertex v takes f_v fresh vertices and a subset S_v of the old
+    (touched, unsaturated) vertices above it. Fresh counts are tried in
+    increasing order and subsets in lexicographic order, so the unpruned
+    search meets the completions in lexicographic order of their codes
+    ((f_v, S_v) over the finished vertices v), and the first completion of a
+    class is its first-touch labeling with the least code. Such a labeling
+    is fixed by the vertex labeled 0 and the order of each block of fresh
+    vertices, and the cuts below compare the node with relabelings of that
+    kind.
 
     Twin prune: when vertex v picks neighbours among the touched vertices
     after it, those with the same neighbours so far are twins, and a subset
@@ -234,23 +246,48 @@ def enumerate_connected_k_regular(n: int, k: int):
     count is final, and a node where it exceeds that of (0, 1) is cut; only
     the edges at vertices saturated since the parent need checking.
 
-    Vertex-2 cut: the same argument one level down. In the unpruned search
-    the first completion of a class is the lexicographically least sequence
-    ((f1, S1), (f2, S2), ...) of fresh counts f_v and subsets S_v of old
-    vertices. With c the count of (0, 1), the largest of any edge, its
-    vertex 1 takes S1 = {2..c+1}; so vertex 2 is a common neighbour of 0 and
-    1 when c >= 1, and another neighbour of 0 when c = 0, and it takes
-    f2 = k - T(0, 1, 2) fresh vertices, where T(a, b, x) is
-    |N(x) & (N[a] | N[b])|. Take any edge (a, b) with c common neighbours
-    and an x eligible in the same sense: a common neighbour when c >= 1, a
-    neighbour of a or b other than a and b when c = 0. Relabeling a, b, x
-    as 0, 1, 2 (orienting (a, b) so that x is a neighbour of a) and the rest
-    in first-touch order gives a completion of the unpruned search with the
-    same (f1, S1), so the first completion has the largest T(0, 1, 2) of any
-    such triple. T(0, 1, 2) is final once 0, 1 and 2 are saturated, and
-    T(a, b, x) once a, b and x are; a node where a saturated edge tied with
-    (0, 1) has a saturated eligible x with a larger T is cut. The check runs
-    when the tied edge's count becomes final, over the x saturated by then.
+    Vertex-2 cut: the same argument one level down. With c the count of
+    (0, 1), the largest of any edge, the least code has S1 = {2..c+1}; so
+    vertex 2 is a common neighbour of 0 and 1 when c >= 1, and another
+    neighbour of 0 when c = 0, and it takes f2 = k - T(0, 1, 2) fresh
+    vertices, where T(a, b, x) is |N(x) & (N[a] | N[b])|. Take any edge
+    (a, b) with c common neighbours and an x eligible in the same sense: a
+    common neighbour when c >= 1, a neighbour of a or b other than a and b
+    when c = 0. Relabeling a, b, x as 0, 1, 2 (orienting (a, b) so that x is
+    a neighbour of a) and the rest in first-touch order gives a completion
+    of the unpruned search with the same (f1, S1), so the first completion
+    has the largest T(0, 1, 2) of any such triple. T(0, 1, 2) is final once
+    0, 1 and 2 are saturated, and T(a, b, x) once a, b and x are; a node
+    where a saturated edge tied with (0, 1) has a saturated eligible x with
+    a larger T is cut.
+
+    Vertex-2 tie-break: for such an x with T(a, b, x) = T(0, 1, 2), either
+    orientation with x next to a will do. The old vertices x can reach are,
+    in label order, G1 = N(a) & N(b) - {x} (labels 3..c+1), G2 = N(a) - N[b]
+    - {x} (up to k) and G3 = N(b) - N[a] (vertex 1's fresh block). The order
+    within each group is free, so the least S2 gives x's neighbours the
+    first labels of each group, and as |S2| = |N(x) & (G1 | G2 | G3)| is
+    tied, more of them in G1, then in G2, make S2 smaller. The first
+    completion therefore has the lexicographically largest pair
+    (|N(2) & G1|, |N(2) & G2|), compared as (|N(x) & N(a) & N(b)|,
+    |N(x) & N(a)|), which orders alike because N(x) holds b exactly when
+    c >= 1; a node where a tied triple has the larger pair is cut.
+
+    Fourth-choice cut: a triple tied on the pair too relabels the node with
+    the same code through vertex 2, hence the same state there. Split each
+    group by N(x), x's neighbours first, and append x's fresh block: any
+    vertex y of the first non-empty part may take label 3. If y is saturated
+    and has a neighbour other than a, b and x, label 3 is the fourth vertex
+    finished, and y's least choice (its fresh count, then its old
+    neighbours given the first labels of each part) must not be smaller
+    than the choice the node made at its fourth finished vertex. That
+    choice is recorded by its rank among the finished vertices, as for
+    k = 3 vertex 3 can be saturated before its turn.
+
+    The vertex-2 checks run when a tied edge's count becomes final, over the
+    x and y saturated by then, and only while T(0, 1, 2) < k (no triple
+    exceeds k); the count of (0, 1) is taken once, when vertex 1 is
+    finished, and T(0, 1, 2) and its pair once, when vertex 2 is saturated.
 
     Sealed cut: when the next vertex to finish is untouched, the finished
     vertices are saturated and none of them is adjacent to the rest, so no
@@ -260,16 +297,17 @@ def enumerate_connected_k_regular(n: int, k: int):
     vertices >= v are adjacent yet (edges are added only at the vertex being
     finished), so an unsaturated touched vertex w >= v can still be joined
     to the untouched vertices and to the other unsaturated touched vertices.
-    If some deficit exceeds their number, no completion lies below.
+    If some deficit exceeds their number, no completion lies below. For any
+    fresh count f >= 1 a fresh vertex has at most (fresh_avail - f) +
+    (len(old) + f - 1) such partners, so when that is below k - 1 only
+    f = 0 is tried.
 
-    The twin prune, the root-edge cut and the vertex-2 cut remove no first
-    completion of a class, the sealed and degree cuts no connected
+    The twin prune and the root-edge, vertex-2 and fourth-choice cuts remove
+    no first completion of a class, the sealed and degree cuts no connected
     completion at all, and a first-round bucket rejects exactly the
     completions that full refinement did, so the yielded graphs, their
     labels and their order are those of the unpruned search. The cuts are
-    tested inline in the child loop, before a child node is entered; the
-    count of (0, 1) is taken once, when vertex 1 is finished, and T(0, 1, 2)
-    once, when vertex 2 is saturated.
+    tested in the child loop, before a child node is entered.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -286,23 +324,90 @@ def enumerate_connected_k_regular(n: int, k: int):
     deficit = [k] * n
     adj = [0] * n
     around: list[list[int]] = [[] for _ in range(n)]
-    # first-round signature list -> match plans of the classes kept with it
+    # first-round signature list -> [adjacency, colours, match plan or None]
+    # of the classes kept with it; a plan is built when a later completion
+    # lands in the bucket
     buckets: dict[tuple, list] = {}
     # common neighbours of the edge (0, 1), final once vertex 1 is finished
     # (0 before: vertex 1 has no other neighbour yet)
     root = 0
-    # T(0, 1, 2), final once vertex 2 is saturated (k before: no triple
-    # exceeds it)
+    # T(0, 1, 2) and how vertex 2's old neighbours split, final once vertex 2
+    # is saturated (k before: no triple exceeds it)
     third = k
+    split = (0, 0)
+    # the choice (fresh count, old subset) made at the fourth finished vertex
+    fourth = (0, ())
 
-    def complete(v: int, next_fresh: int):
-        nonlocal root, third
+    def tie_beaten(s: int, t: int, x: int, fourth_made: bool) -> bool:
+        # x ties with vertex 2 on T; an end of (s, t) next to x is label 0
+        nx = adj[x]
+        both = (nx & adj[s] & adj[t]).bit_count()
+        for a, b in ((s, t), (t, s)):
+            if adj[a] >> x & 1:
+                key = both, (nx & adj[a]).bit_count()
+                if key > split or key == split and fourth_made and smaller_fourth(a, b, x):
+                    return True
+        return False
+
+    def smaller_fourth(a: int, b: int, x: int) -> bool:
+        # with a, b, x as 0, 1, 2, the vertices they touched take labels 3..
+        # part by part (each group split by N(x), x's fresh block last); does
+        # a saturated y of the first part, as label 3 with its old neighbours
+        # first in each part, make a smaller choice than the fourth one made?
+        na, nb, nx = adj[a], adj[b], adj[x]
+        g1 = na & nb & ~(1 << x)
+        g2 = na & ~nb & ~(1 << b | 1 << x)
+        g3 = nb & ~na & ~(1 << a)
+        groups = (g1 & nx, g1 & ~nx, g2 & nx, g2 & ~nx, g3 & nx, g3 & ~nx, nx & ~(na | nb))
+        for ys in groups:
+            if ys:
+                break
+        finished = 1 << a | 1 << b | 1 << x
+        touched = na | nb | nx
+        f, subset = fourth
+        mine = 0
+        for w in subset:
+            mine |= 1 << w
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
+            if deficit[y]:
+                continue
+            ny = adj[y]
+            if not ny & ~finished:
+                return False  # label 3 is saturated, not the fourth to finish
+            fy = (ny & ~touched).bit_count()
+            if fy != f:
+                if fy < f:
+                    return True
+                continue
+            # y's old neighbours take the first labels of each group; of two
+            # subsets of one size, the smaller holds the least label they
+            # do not share
+            label = 4
+            chosen = 0
+            for g in groups:
+                g &= ~low
+                chosen |= ~(-1 << (ny & g).bit_count()) << label
+                label += g.bit_count()
+            differ = chosen ^ mine
+            if chosen & differ & -differ:
+                return True
+        return False
+
+    def complete(v: int, next_fresh: int, step: int):
+        nonlocal root, third, split, fourth
         if v == n:
             colours, signatures = next(_rounds(adj, around))
             kept = buckets.setdefault(tuple(signatures), [])
-            if all(match(plan, adj, colours) is None for plan in kept):
-                kept.append(match_plan(adj, colours))
-                yield Graph(n, [(u, w) for u in range(n) for w in around[u] if u < w])
+            for entry in kept:
+                if entry[2] is None:
+                    entry[2] = match_plan(entry[0], entry[1])
+                if match(entry[2], adj, colours) is not None:
+                    return
+            kept.append([adj[:], colours, None])
+            yield Graph(n, [(u, w) for u in range(n) for w in around[u] if u < w])
             return
         fresh_avail = n - next_fresh
         old = [w for w in range(v + 1, next_fresh) if deficit[w]]
@@ -318,7 +423,9 @@ def enumerate_connected_k_regular(n: int, k: int):
         row = adj[v]
         bit = 1 << v
         deficit[v] = 0
-        for f in range(min(need, fresh_avail) + 1):
+        # degree cut for every f >= 1 at once: a fresh vertex has at most
+        # fresh_avail + len(old) - 1 partners left
+        for f in range(min(need, fresh_avail) + 1 if k <= fresh_avail + len(old) else 1):
             r = need - f
             if r > len(old):
                 continue
@@ -327,6 +434,8 @@ def enumerate_connected_k_regular(n: int, k: int):
             for subset in combinations(old, r):
                 if twins and any(w in subset and b not in subset for w, b in twins):
                     continue
+                if step == 3:
+                    fourth = f, subset
                 chosen = subset + fresh
                 settled = [v]
                 for w in chosen:
@@ -344,7 +453,12 @@ def enumerate_connected_k_regular(n: int, k: int):
                     # vertex 2 is saturated when it is finished, or when
                     # vertex 1 fills it; vertex 1 is finished only for k >= 2,
                     # so vertex 2 exists
-                    third = k if deficit[2] else (adj[2] & (adj[0] | adj[1])).bit_count()
+                    if deficit[2]:
+                        third = k
+                    else:
+                        two = adj[2] & adj[0]
+                        third = (adj[2] & (adj[0] | adj[1])).bit_count()
+                        split = (two & adj[1]).bit_count(), two.bit_count()
                 u = v + 1
                 while u < n and not deficit[u]:
                     u += 1
@@ -359,12 +473,15 @@ def enumerate_connected_k_regular(n: int, k: int):
                     touched = deficit[u:top]
                     enter = max(touched) < n - top + len(touched) - touched.count(0)
                 if enter:
+                    done = 0
                     for s in settled:
                         # root-edge cut: the edges at vertices saturated here
-                        # are the ones whose count just became final
+                        # are the ones whose count just became final, each
+                        # taken once
                         a = adj[s]
+                        done |= 1 << s
                         for t in around[s]:
-                            if deficit[t]:
+                            if deficit[t] or done >> t & 1:
                                 continue
                             b = adj[t]
                             c = (a & b).bit_count()
@@ -372,14 +489,17 @@ def enumerate_connected_k_regular(n: int, k: int):
                                 enter = False
                                 break
                             if c == root and third < k:
-                                # vertex-2 cut on the saturated eligible x
+                                # vertex-2 cuts on the saturated eligible x
                                 near = a | b
                                 xs = a & b if c else near & ~(1 << s | 1 << t)
                                 while xs:
                                     low = xs & -xs
                                     xs ^= low
                                     x = low.bit_length() - 1
-                                    if not deficit[x] and (adj[x] & near).bit_count() > third:
+                                    if deficit[x]:
+                                        continue
+                                    seen = (adj[x] & near).bit_count()
+                                    if seen > third or seen == third and tie_beaten(s, t, x, step >= 3):
                                         enter = False
                                         break
                                 if not enter:
@@ -387,7 +507,7 @@ def enumerate_connected_k_regular(n: int, k: int):
                         if not enter:
                             break
                 if enter:
-                    yield from complete(u, top)
+                    yield from complete(u, top, step + 1)
                 for w in chosen:
                     deficit[w] += 1
                     adj[w] ^= bit
@@ -397,7 +517,7 @@ def enumerate_connected_k_regular(n: int, k: int):
         adj[v] = row
         deficit[v] = need
 
-    yield from complete(0, 1)
+    yield from complete(0, 1, 0)
 
 
 @dataclass(frozen=True)

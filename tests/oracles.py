@@ -5,18 +5,20 @@ package under test: exact rational characteristic polynomials with Sturm
 bisection instead of LAPACK eigensolvers, direct enumeration of all 2^m
 orientations instead of switching classes, labeled-graph backtracking with
 networkx isomorphism and automorphism counts instead of orderly generation,
-a pair-by-pair common-neighbour count instead of adjacency bitsets, signed
-walks counted one by one instead of matrix products, a switching-class
-enumerator with its own breadth-first frame, and the named-vertex recursion
-for the ladder families gi/hj instead of the paper's block matrices. Only
-public names of skewopt are imported, as test_oracles checks.
+a first-touch relabeler that tries every root and every order of every fresh
+block instead of the enumerator's cuts, a pair-by-pair common-neighbour count
+instead of adjacency bitsets, signed walks counted one by one instead of
+matrix products, a switching-class enumerator with its own breadth-first
+frame, and the named-vertex recursion for the ladder families gi/hj instead
+of the paper's block matrices. Only public names of skewopt are imported, as
+test_oracles checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import networkx as nx
@@ -340,6 +342,90 @@ def pairwise_non_isomorphic(n: int, edge_lists) -> bool:
     """True iff no two of the graphs on n vertices are isomorphic (networkx)."""
     graphs = [_nx_graph(n, edges) for edges in edge_lists]
     return not any(nx.is_isomorphic(a, b) for a, b in combinations(graphs, 2))
+
+
+# ---------------------------------------------------------------------------
+# first-touch codes, every relabeling tried
+# ---------------------------------------------------------------------------
+
+
+def _neighbour_sets(n: int, edges) -> list[set]:
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def first_touch_code(n: int, edges) -> tuple | None:
+    """The choices that build this labeling in a first-touch search, or None
+    when it is not a first-touch labeling.
+
+    The vertices are finished in label order. Vertex 0 is touched, and
+    finishing v touches its neighbours. A vertex with a neighbour above it
+    makes the choice (number of those neighbours not yet touched, sorted
+    labels of the touched ones); the untouched ones must be the next labels.
+    """
+    nbrs = _neighbour_sets(n, edges)
+    touched = 1 if n else 0  # the touched vertices are 0 .. touched - 1
+    code = []
+    for v in range(n):
+        above = sorted(w for w in nbrs[v] if w > v)
+        if not above:
+            continue
+        old = tuple(w for w in above if w < touched)
+        fresh = [w for w in above if w >= touched]
+        if v >= touched or fresh != list(range(touched, touched + len(fresh))):
+            return None
+        touched += len(fresh)
+        code.append((len(fresh), old))
+    return tuple(code)
+
+
+def smaller_first_touch_relabeling(n: int, edges) -> dict | None:
+    """A first-touch relabeling whose code (`first_touch_code`) is smaller
+    than that of the labeling given, as {vertex: new label}, or None.
+
+    Every root and every order of every block of newly touched vertices is
+    tried; a branch is dropped at its first choice that differs from the
+    given labeling's, and returned if that choice is the smaller.
+    """
+    target = first_touch_code(n, edges)
+    if target is None:
+        raise ValueError("the labeling given is not first-touch")
+    nbrs = _neighbour_sets(n, edges)
+
+    def extend(label: dict, order: list, v: int, step: int):
+        # order lists the vertices by new label; v is the next one to finish
+        while v < len(order):
+            x = order[v]
+            old = tuple(sorted(label[w] for w in nbrs[x] if w in label and label[w] > v))
+            fresh = [w for w in nbrs[x] if w not in label]
+            if old or fresh:
+                break
+            v += 1
+        else:
+            return None  # every touched vertex finished with the same code
+        choice = (len(fresh), old)
+        if choice != target[step]:
+            return dict(label) if choice < target[step] else None
+        for block in permutations(fresh):
+            for w in block:
+                label[w] = len(order)
+                order.append(w)
+            found = extend(label, order, v + 1, step + 1)
+            for w in block:
+                del label[w]
+                order.pop()
+            if found is not None:
+                return found
+        return None
+
+    for root in range(n):
+        found = extend({root: 0}, [root], 0, 0)
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    brute_force_has_optimum, connected_regular_class_count, switching_classes,
-    switching_frame,
+    brute_force_has_optimum, connected_regular_class_count, first_touch_code,
+    smaller_first_touch_relabeling, switching_classes, switching_frame,
 )
 from skewopt import (
     C4, G2, K4, Graph, OrientedGraph, build_family, candidate_members, census,
@@ -357,6 +357,49 @@ def test_third_vertex_sees_the_most_of_the_first_edge():
                         k, n, emit_graph6(g))
                 checked += 1
     assert checked == 112 + 350 + 64 + 27  # classes of orders up to top
+
+
+def test_yielded_labelings_have_the_least_first_touch_code():
+    # every cut rests on the first completion of a class being its
+    # first-touch labeling with the least code; the oracle tries every root
+    # and every order of every fresh block
+    checked = 0
+    for k, top in ((4, 11), (3, 12), (5, 10), (6, 10)):
+        for n in range(1, top + 1):
+            for g in enumerate_connected_k_regular(n, k):
+                assert smaller_first_touch_relabeling(n, g.edges) is None, (
+                    k, n, emit_graph6(g))
+                checked += 1
+    assert checked == 350 + 112 + 64 + 27  # classes of orders up to top
+
+
+def first_touch_relabeling(g: Graph, root: int) -> list[tuple[int, int]]:
+    """g's edges relabeled first-touch from root, each fresh block in
+    increasing order of g's labels."""
+    label = {root: 0}
+    order = [root]
+    for x in order:
+        for w in g.around[x]:
+            if w not in label:
+                label[w] = len(order)
+                order.append(w)
+    return [(label[u], label[w]) for u, w in g.edges]
+
+
+def test_least_code_oracle_finds_smaller_labelings():
+    assert first_touch_code(3, [(0, 2), (1, 2)]) is None  # 2 touched before 1
+    assert first_touch_code(4, [(0, 1), (0, 2), (1, 3), (2, 3)]) == (
+        (2, ()), (1, ()), (0, (3,)))
+    with pytest.raises(ValueError):
+        smaller_first_touch_relabeling(3, [(0, 2), (1, 2)])
+    beaten = 0
+    for g in enumerate_connected_k_regular(9, 4):
+        for root in range(g.n):
+            edges = first_touch_relabeling(g, root)
+            if first_touch_code(g.n, edges) != first_touch_code(g.n, g.edges):
+                assert smaller_first_touch_relabeling(g.n, edges) is not None
+                beaten += 1
+    assert beaten > 0
 
 
 def circulant(n: int, a: int, b: int) -> Graph:
