@@ -145,10 +145,9 @@ def _graph_report(g: Graph, k: int) -> dict:
     }
 
 
-def _spectral_fields(og: OrientedGraph, k: int) -> dict:
+def _spectral_fields(og: OrientedGraph) -> dict:
     summary = skew_energy(og)
     return {
-        "gram_is_kI": is_optimum(og, k),
         "skew_energy": _round12(summary.skew_energy),
         "upper_bound": _round12(summary.upper_bound),
     }
@@ -190,7 +189,9 @@ def _cmd_generate(args) -> int:
             _write(args, emit_arclist(og))
             return 0
         report = _graph_report(og.base, label.regularity)
-        report.update(_spectral_fields(og, label.regularity))
+        # orient_family raises unless the Gram is exactly kI
+        report["gram_is_kI"] = True
+        report.update(_spectral_fields(og))
         report["classification"] = str(label) if label.regularity == 4 else None
         report["arcs"] = og.arcs
         _write(args, _json_bytes(report))
@@ -217,7 +218,8 @@ def _oriented_input(args) -> OrientedGraph:
 def _cmd_verify(args) -> int:
     og = _oriented_input(args)
     report = _graph_report(og.base, args.k)
-    report.update(_spectral_fields(og, args.k))
+    report["gram_is_kI"] = is_optimum(og, args.k)
+    report.update(_spectral_fields(og))
     report.update(_classification_field(og.base))
     report["violations"] = neighbor_parity_report(og.base).violations
     report["optimum"] = report["gram_is_kI"]
@@ -240,11 +242,15 @@ def _cmd_search(args) -> int:
     witness = find_optimum_orientation(g, args.k)
     report = _graph_report(g, args.k)
     report.update(_classification_field(g))
-    report["violations"] = neighbor_parity_report(g).violations
     if witness is None:
+        report["violations"] = neighbor_parity_report(g).violations
         report["optimum_orientation"] = None
     else:
-        report.update(_spectral_fields(witness, args.k))
+        # find_optimum_orientation returns a witness only past the parity
+        # filter and raises unless its Gram is exactly kI
+        report["violations"] = ()
+        report["gram_is_kI"] = True
+        report.update(_spectral_fields(witness))
         report["optimum_orientation"] = witness.arcs
     _write(args, _json_bytes(report))
     return 1 if args.strict and witness is None else 0

@@ -1,6 +1,6 @@
 """Constructors for every known graph admitting an optimum orientation
-(one whose Gram matrix S^T S equals k*I), their canonical orientations, and
-the block-matrix machinery behind the two infinite sequences.
+(one whose Gram matrix S^T S equals k*I) and their canonical orientations,
+each stated as arcs.
 
 Family labels:
   g1, g2     sporadic 4-regular members containing triangles
@@ -12,8 +12,11 @@ Family labels:
 
 The table _FIXED is the one place a fixed member is stated: its order, its
 degree and its canonical arcs, whose pairs are its edges. Label validation,
-family_order, candidate_members, build_family and orient_family all read it;
-gi(i) and hj(j) come from the block assembly _block_arcs instead.
+family_order, candidate_members, build_family and orient_family all read it.
+The cubes k2, q3 and q4 are iterated K2 lifts S' = [[S, I], [-I, -S]]
+(_lift_arcs). gi(i) and hj(j) come from _block_arcs, which lays the paper's
+four bridge blocks A, B, C, D, stated once below as tuples, along the
+block-tridiagonal skew matrix.
 
 Every constructor fixes a vertex ordering, so the skew-adjacency matrices are
 reproducible byte for byte.
@@ -24,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import re
 
-import numpy as np
-
 from .graphs import Graph, OrientedGraph
-from .matrices import int_matrix, is_optimum, skew_adjacency
+from .matrices import is_optimum
 
 # ---------------------------------------------------------------------------
 # fixed members: named vertex orderings and canonical arcs, one table
@@ -74,25 +75,19 @@ def _from_names(order, name_pairs) -> tuple[tuple[int, int], ...]:
     return tuple((index[x], index[y]) for x, y in name_pairs)
 
 
-def doubling_skew_matrix(d: int) -> np.ndarray:
-    """Skew matrix of the d-cube with Gram exactly d*I.
+def _lift_arcs(n: int, arcs) -> tuple[tuple[int, int], ...]:
+    """Arcs of the K2 lift [[S, I], [-I, -S]] of an orientation S on n
+    vertices: the arcs, their reversed copy on n..2n-1, and v -> v + n.
 
-    Level 1 is [[0,1],[-1,0]]; each doubling step embeds two opposite copies
-    joined by an identity block, which adds 1 to the Gram multiple.
+    The lift is skew with support G x K2, and its Gram is (k+1)I when S^T S
+    is kI, because -S^2 = S^T S.
     """
-    if d < 1:
-        raise ValueError(f"doubling dimension must be >= 1, got {d}")
-    s = int_matrix([[0, 1], [-1, 0]])
-    for _ in range(d - 1):
-        n = s.shape[0]
-        eye = np.eye(n, dtype=np.int64)
-        s = np.block([[s, eye], [-eye, -s]])
-    return s
+    return (tuple(arcs) + tuple((h + n, t + n) for t, h in arcs)
+            + tuple((v, v + n) for v in range(n)))
 
 
-def _doubling_arcs(d: int) -> tuple[tuple[int, int], ...]:
-    s = doubling_skew_matrix(d)
-    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(s == 1)))
+_K2_ARCS = _lift_arcs(1, ())
+_Q3_ARCS = _lift_arcs(4, _lift_arcs(2, _K2_ARCS))
 
 
 # kind -> (order, degree, canonical arcs). The c4 and k4 witnesses were found
@@ -102,11 +97,11 @@ _FIXED = {
     "g1": (8, 4, _from_names(_G1_ORDER, _G1_ARCS)),
     "g2": (6, 4, _from_names(_G2_ORDER, _G2_ARCS)),
     "g3": (14, 4, _from_names(_G3_ORDER, _G3_ARCS)),
-    "q4": (16, 4, _doubling_arcs(4)),
-    "k2": (2, 1, _doubling_arcs(1)),
+    "q4": (16, 4, _lift_arcs(8, _Q3_ARCS)),
+    "k2": (2, 1, _K2_ARCS),
     "c4": (4, 2, ((0, 1), (0, 3), (1, 2), (2, 3))),
     "k4": (4, 3, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1))),
-    "q3": (8, 3, _doubling_arcs(3)),
+    "q3": (8, 3, _Q3_ARCS),
 }
 _PARAM_KINDS = ("gi", "hj")
 
@@ -197,124 +192,42 @@ def candidate_members(n: int, k: int = 4) -> list[FamilyLabel]:
 
 
 # ---------------------------------------------------------------------------
-# the two infinite sequences: bridge blocks, identity checks, sparse assembly
-# (the only construction of gi/hj)
+# the two infinite sequences: the paper's bridge blocks, laid out as arcs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BlockSet:
-    """The four bridge blocks assembled into the ladder skew matrices.
+# A is 2x4, B and C are 4x4 (C skew), D is 4x2
+_A = ((1, 1, 1, 1),
+      (1, 1, -1, -1))
+_B = ((1, 1, 0, 0),
+      (-1, -1, 0, 0),
+      (0, 0, 1, 1),
+      (0, 0, -1, -1))
+_C = ((0, 0, -1, 1),
+      (0, 0, 1, -1),
+      (1, -1, 0, 0),
+      (-1, 1, 0, 0))
+_D = ((-1, 1),
+      (1, -1),
+      (-1, -1),
+      (1, 1))
 
-    Shapes: a is 2x4, b and c are 4x4, d is 4x2; entries in {-1, 0, 1}.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        shapes = {"a": (2, 4), "b": (4, 4), "c": (4, 4), "d": (4, 2)}
-        for name, want in shapes.items():
-            m = int_matrix(getattr(self, name))
-            if m.shape != want:
-                raise ValueError(f"block {name} must be {want}, got {m.shape}")
-            if np.any(np.abs(m) > 1):
-                raise ValueError(f"block {name} entries must lie in -1..1")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-
-
-def canonical_blocks() -> BlockSet:
-    return BlockSet(
-        a=[[1, 1, 1, 1],
-           [1, 1, -1, -1]],
-        b=[[1, 1, 0, 0],
-           [-1, -1, 0, 0],
-           [0, 0, 1, 1],
-           [0, 0, -1, -1]],
-        c=[[0, 0, -1, 1],
-           [0, 0, 1, -1],
-           [1, -1, 0, 0],
-           [-1, 1, 0, 0]],
-        d=[[-1, 1],
-           [1, -1],
-           [-1, -1],
-           [1, 1]],
-    )
+# nonzero entries (row, col, sign) of A, B, D, and of C above its diagonal
+_ENTRIES = tuple(
+    tuple((r, c, s) for r, row in enumerate(m) for c, s in enumerate(row)
+          if s and (m is not _C or c > r))
+    for m in (_A, _B, _C, _D)
+)
 
 
-def _identity_table(bs: BlockSet) -> dict[str, bool]:
-    a, b, c, d = bs.a, bs.b, bs.c, bs.d
-    four_i2 = 4 * np.eye(2, dtype=np.int64)
-    four_i4 = 4 * np.eye(4, dtype=np.int64)
-    eq = np.array_equal
-    return {
-        "AAt=4I2": eq(a @ a.T, four_i2),
-        "AtA+BBt=4I4": eq(a.T @ a + b @ b.T, four_i4),
-        "BtB+BBt=4I4": eq(b.T @ b + b @ b.T, four_i4),
-        "BtB+CtC=4I4": eq(b.T @ b + c.T @ c, four_i4),
-        "AB=0": not np.any(a @ b),
-        "BB=0": not np.any(b @ b),
-        "BC=0": not np.any(b @ c),
-        "AtA+DDt=4I4": eq(a.T @ a + d @ d.T, four_i4),
-        "DtD=4I2": eq(d.T @ d, four_i2),
-        "AD=0": not np.any(a @ d),
-        "BtB+DDt=4I4": eq(b.T @ b + d @ d.T, four_i4),
-        "BD=0": not np.any(b @ d),
-    }
-
-
-_IDENTITY_SETS = {
-    1: ("AAt=4I2", "AtA+BBt=4I4", "BtB+BBt=4I4", "BtB+CtC=4I4",
-        "AB=0", "BB=0", "BC=0"),
-    2: ("AAt=4I2", "AtA+DDt=4I4", "DtD=4I2", "AD=0"),
-    3: ("AAt=4I2", "AtA+BBt=4I4", "BtB+DDt=4I4", "DtD=4I2", "AB=0", "BD=0"),
-}
-
-
-def check_block_identities(blocks: BlockSet, which: int) -> dict[str, bool]:
-    """Exact pass/fail for each identity in set 1, 2, or 3."""
-    if which not in _IDENTITY_SETS:
-        raise ValueError(f"identity set selector must be 1, 2, or 3, got {which}")
-    table = _identity_table(blocks)
-    return {name: table[name] for name in _IDENTITY_SETS[which]}
-
-
-def _required_identities(label: FamilyLabel) -> tuple[str, ...]:
-    # exactly the equalities the Gram of the assembled matrix needs
-    if label.kind == "gi":
-        if label.param == 1:
-            return ("AAt=4I2", "AtA+BBt=4I4", "BtB+CtC=4I4", "AB=0", "BC=0")
-        return _IDENTITY_SETS[1]
-    if label.param == 1:
-        return _IDENTITY_SETS[2]
-    if label.param == 2:
-        return _IDENTITY_SETS[3]
-    return _IDENTITY_SETS[3] + ("BtB+BBt=4I4", "BB=0")
-
-
-def _block_entries(blocks: BlockSet) -> tuple:
-    """Nonzero entries (row, col, sign) of a, b, the upper triangle of c, and d."""
-
-    def nonzero(m):
-        return tuple((int(r), int(c), int(m[r, c])) for r, c in zip(*np.nonzero(m)))
-
-    return nonzero(blocks.a), nonzero(blocks.b), nonzero(np.triu(blocks.c, 1)), nonzero(blocks.d)
-
-
-_CANONICAL_ENTRIES = _block_entries(canonical_blocks())
-
-
-def _block_arcs(label: FamilyLabel, blocks: tuple) -> tuple[int, list[tuple[int, int]]]:
+def _block_arcs(label: FamilyLabel) -> tuple[int, list[tuple[int, int]]]:
     """Order and arcs of the block-tridiagonal skew matrix of gi(i)/hj(j).
 
-    blocks holds the nonzero entries from _block_entries. The superdiagonal
-    blocks are A, then B repeated, then D for hj; gi ends in the skew block C
-    on the diagonal instead. Entry +1 at (r, c) is the arc r -> c, and -1 the
-    arc c -> r; the subdiagonal is the negated transpose, so it adds nothing.
+    The superdiagonal blocks are A, then B repeated, then D for hj; gi ends
+    in the skew block C on the diagonal instead. Entry +1 at (r, c) is the
+    arc r -> c, and -1 the arc c -> r; the subdiagonal is the negated
+    transpose, so it adds nothing.
     """
-    a, b, c, d = blocks
+    a, b, c, d = _ENTRIES
     if label.kind == "gi":
         dims = [2] + [4] * (label.param + 1)
         supers = [a] + [b] * label.param
@@ -332,31 +245,6 @@ def _block_arcs(label: FamilyLabel, blocks: tuple) -> tuple[int, list[tuple[int,
     return row + dims[-1], arcs
 
 
-def block_skew_matrix(label: FamilyLabel, blocks: BlockSet | None = None) -> np.ndarray:
-    """Block-tridiagonal skew matrix of gi(i)/hj(j) from a validated BlockSet.
-
-    Any block set satisfying the identities required for the label yields a
-    Gram of exactly 4I; failing identities raise ValueError before assembly.
-    With the canonical blocks this is the skew adjacency of orient_family.
-    """
-    if label.kind not in _PARAM_KINDS:
-        raise ValueError(f"block construction applies to gi/hj only, got {label}")
-    if blocks is None:
-        blocks = canonical_blocks()
-    table = _identity_table(blocks)
-    failed = [name for name in _required_identities(label) if not table[name]]
-    if failed:
-        raise ValueError(f"block identities failed for {label}: {', '.join(failed)}")
-    if label.kind == "gi" and not np.array_equal(blocks.c.T, -blocks.c):
-        raise ValueError("diagonal block c must be skew-symmetric")
-
-    n, arcs = _block_arcs(label, _block_entries(blocks))
-    og = OrientedGraph(Graph(n, arcs), arcs)
-    if not is_optimum(og, 4):
-        raise RuntimeError(f"assembled matrix for {label} has a non-4I Gram")
-    return skew_adjacency(og)
-
-
 # ---------------------------------------------------------------------------
 # public constructors
 # ---------------------------------------------------------------------------
@@ -366,7 +254,7 @@ def _member(label: FamilyLabel) -> tuple[int, tuple | list]:
     if label.kind in _FIXED:
         n, _, arcs = _FIXED[label.kind]
         return n, arcs
-    return _block_arcs(label, _CANONICAL_ENTRIES)
+    return _block_arcs(label)
 
 
 def build_family(label: FamilyLabel) -> Graph:

@@ -52,12 +52,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.around[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.around[v])
-
     def degrees(self) -> list[int]:
         return [len(a) for a in self.around]
 

@@ -19,14 +19,6 @@ from .graphs import OrientedGraph
 ENERGY_TOLERANCE = 1e-8
 
 
-def int_matrix(rows) -> np.ndarray:
-    """Validated dense integer matrix (int64 is ample for every use here)."""
-    m = np.array(rows, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    return m
-
-
 def skew_adjacency(og: OrientedGraph) -> np.ndarray:
     """The n x n matrix with entry (u, v) = og.sign(u, v): +1 iff arc u -> v."""
     n = og.base.n

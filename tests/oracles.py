@@ -9,9 +9,10 @@ a first-touch relabeler that tries every root and every order of every fresh
 block instead of the enumerator's cuts, a pair-by-pair common-neighbour count
 instead of adjacency bitsets, signed walks counted one by one instead of
 matrix products, a switching-class enumerator with its own breadth-first
-frame, and the named-vertex recursion for the ladder families gi/hj instead
-of the paper's block matrices. Only public names of skewopt are imported, as
-test_oracles checks.
+frame, the named-vertex recursion for the ladder families gi/hj instead of
+the paper's block matrices, and numpy products for the paper's block
+identities, checked on blocks read off the package's own matrices. Only
+public names of skewopt are imported, as test_oracles checks.
 """
 
 from __future__ import annotations
@@ -502,7 +503,7 @@ def signed_walk_counts(og, u: int, v: int, k: int) -> SignedWalkCount:
             if x == v:
                 counts[sign < 0] += 1
             continue
-        for y in base.neighbors(x):
+        for y in base.around[x]:
             stack.append((y, steps + 1, sign * og.sign(x, y)))
     return SignedWalkCount(*counts)
 
@@ -558,7 +559,7 @@ def switching_frame(g) -> tuple[list, list]:
     parent = {0: None} if g.n else {}
     order = list(parent)
     for p in order:  # the list grows while it is read: a queue
-        for c in sorted(g.neighbors(p)):
+        for c in sorted(g.around[p]):
             if c not in parent:
                 parent[c] = p
                 order.append(c)
@@ -726,3 +727,32 @@ def ladder_arcs(kind: str, index: int) -> tuple:
         raise RuntimeError(f"{kind}({index}): the arc and edge recursions disagree")
     index_of = {name: i for i, name in enumerate(order)}
     return len(order), [(index_of[x], index_of[y]) for x, y in arcs]
+
+
+# ---------------------------------------------------------------------------
+# the paper's bridge-block identities, which make the block-tridiagonal
+# matrices of gi/hj optimum
+# ---------------------------------------------------------------------------
+
+
+def block_identities(a, b, c, d) -> dict[str, bool]:
+    """Exact pass/fail of each of the twelve identities over the bridge
+    blocks A (2x4), B and C (4x4) and D (4x2), given as int64 arrays: the
+    union of the paper's identity sets 1 (gi), 2 (hj(1)) and 3 (hj(j >= 2))."""
+    four_i2 = 4 * np.eye(2, dtype=np.int64)
+    four_i4 = 4 * np.eye(4, dtype=np.int64)
+    eq = np.array_equal
+    return {
+        "AAt=4I2": eq(a @ a.T, four_i2),
+        "AtA+BBt=4I4": eq(a.T @ a + b @ b.T, four_i4),
+        "BtB+BBt=4I4": eq(b.T @ b + b @ b.T, four_i4),
+        "BtB+CtC=4I4": eq(b.T @ b + c.T @ c, four_i4),
+        "AB=0": not np.any(a @ b),
+        "BB=0": not np.any(b @ b),
+        "BC=0": not np.any(b @ c),
+        "AtA+DDt=4I4": eq(a.T @ a + d @ d.T, four_i4),
+        "DtD=4I2": eq(d.T @ d, four_i2),
+        "AD=0": not np.any(a @ d),
+        "BtB+DDt=4I4": eq(b.T @ b + d @ d.T, four_i4),
+        "BD=0": not np.any(b @ d),
+    }

@@ -13,19 +13,20 @@ from itertools import combinations
 import numpy as np
 
 from oracles import (
-    disjoint_union, eigenvalues_by_bisection, labeled_connected_regular_count,
-    labeling_count, pairwise_non_isomorphic, switching_classes,
-    two_walk_balanced, walk_identity_holds,
+    block_identities, disjoint_union, eigenvalues_by_bisection,
+    labeled_connected_regular_count, labeling_count, pairwise_non_isomorphic,
+    switching_classes, two_walk_balanced, walk_identity_holds,
 )
 from skewopt import (
-    C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family,
-    canonical_blocks, census, check_block_identities, classify,
-    block_skew_matrix, emit_arclist, emit_graph6, gi, hj, int_matrix,
-    is_optimum, orient_family, parse_arclist, parse_graph6, skew_adjacency,
-    skew_energy, theorem_crosscheck,
+    C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family, census,
+    classify, emit_arclist, emit_graph6, gi, hj, is_optimum, orient_family,
+    parse_arclist, parse_graph6, skew_adjacency, skew_energy,
+    theorem_crosscheck,
 )
 from skewopt.search import enumerate_connected_k_regular
-from test_families import TRANSCRIBED_6, TRANSCRIBED_8, TRANSCRIBED_14, ladder_matrix
+from test_families import (
+    TRANSCRIBED_6, TRANSCRIBED_8, TRANSCRIBED_14, ladder_matrix, member_blocks,
+)
 
 QUARTIC_COUNTS = (1, 1, 2, 6, 16, 59)  # connected quartic graphs, n = 5..10
 
@@ -64,7 +65,8 @@ def spoiled_orientation(g: Graph, rng: random.Random) -> OrientedGraph:
 
 @criterion(1)
 def test_transcribed_matrices_have_exact_gram():
-    mats = [int_matrix(t) for t in (TRANSCRIBED_8, TRANSCRIBED_6, TRANSCRIBED_14)]
+    mats = [np.array(t, dtype=np.int64)
+            for t in (TRANSCRIBED_8, TRANSCRIBED_6, TRANSCRIBED_14)]
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()
@@ -76,10 +78,10 @@ def test_transcribed_matrices_have_exact_gram():
 
 @criterion(2)
 def test_canonical_blocks_satisfy_every_identity_set():
-    blocks = canonical_blocks()
-    for which in (1, 2, 3):
-        report = check_block_identities(blocks, which)
-        assert all(report.values()), report
+    # the blocks of the matrices the package emits, against the union of
+    # the paper's identity sets 1-3
+    report = block_identities(*member_blocks())
+    assert len(report) == 12 and all(report.values()), report
 
 
 @criterion(3)
@@ -105,9 +107,9 @@ def test_family_orientations_attain_the_bound_through_ten():
 def test_block_and_recursive_constructions_coincide():
     # the named-vertex recursion lives only in the oracles
     for i in range(1, 7):
-        assert np.array_equal(block_skew_matrix(gi(i)), ladder_matrix("gi", i))
+        assert np.array_equal(skew_adjacency(orient_family(gi(i))), ladder_matrix("gi", i))
     for j in range(1, 7):
-        assert np.array_equal(block_skew_matrix(hj(j)), ladder_matrix("hj", j))
+        assert np.array_equal(skew_adjacency(orient_family(hj(j))), ladder_matrix("hj", j))
 
 
 @criterion(5)

@@ -250,13 +250,19 @@ def test_generate_oriented_json_above_the_arclist_limit_exits_three(capsysbinary
 
 
 # run in a fresh interpreter, so that its peak RSS is this generate's alone
+# the peak is VmHWM, this process's own high-water mark in KiB: on Linux
+# ru_maxrss also keeps the parent's peak across fork and exec, so it would
+# read the test runner's memory, which Hypothesis's first text draw takes to
+# about 240 MB when its Unicode cache is not yet on disk
 _TIMED_GENERATE = """
-import os, resource, sys, time
+import os, sys, time
 from skewopt.cli import run
 start = time.perf_counter()
 code = run(["generate", "--output", os.devnull] + sys.argv[1:])
-print(code, time.perf_counter() - start,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, seconds, peak)
 """
 
 
@@ -264,8 +270,7 @@ def test_generate_large_member_builds_no_bitsets():
     # hj(16383) has 65536 vertices. Arc lists and the JSON report read only
     # the edges and arcs; bitsets for it would take about n^2/15 = 286 MB.
     # On x86-64 Linux with Python 3.11 the peak is about 90-125 MB, and
-    # 380-410 MB if Graph builds its bitsets with its edges (ru_maxrss is in
-    # KiB on Linux)
+    # 380-410 MB if Graph builds its bitsets with its edges
     root = os.path.dirname(os.path.dirname(skewopt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (root, os.environ.get("PYTHONPATH")))))
@@ -337,6 +342,20 @@ def test_report_bytes_are_pinned(tmp_path, capsysbinary):
         assert run(argv) == 0, argv
         out = capsysbinary.readouterr().out
         assert hashlib.sha256(out).hexdigest() == want, argv
+
+
+def test_catalogue_bytes_are_pinned(capsysbinary):
+    # one sha256 over the oriented arc list and the graph6 line of every
+    # fixed member and of gi(1..10), hj(1..10), in this order
+    labels = ["g1", "g2", "g3", "q4", "k2", "c4", "k4", "q3"]
+    labels += [f"{kind}({i})" for kind in ("gi", "hj") for i in range(1, 11)]
+    digest = hashlib.sha256()
+    for label in labels:
+        for extra in (["--oriented"], []):
+            assert run(["generate", "--family", label, *extra]) == 0, label
+            digest.update(capsysbinary.readouterr().out)
+    assert digest.hexdigest() == (
+        "1054e6e0bbac2651f8fa7ae409927a23e0ef88719131dbb82ed9b354ce252988")
 
 
 def test_census_enumerated(capsysbinary):

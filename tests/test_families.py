@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ladder_arcs
+from oracles import block_identities, ladder_arcs
 from skewopt import (
-    C4, G1, G2, G3, K2, K4, Q3, Q4, BlockSet, FamilyLabel, block_skew_matrix,
-    build_family, canonical_blocks, check_block_identities,
-    doubling_skew_matrix, family_order, gi, hj, int_matrix, is_optimum,
-    orient_family, skew_adjacency,
+    C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, build_family, family_order,
+    gi, hj, is_optimum, orient_family, skew_adjacency,
 )
 
 # Independently transcribed skew-adjacency matrices of the three sporadic
@@ -67,7 +65,7 @@ def test_sporadic_orientations_match_transcriptions(label, transcribed):
 
 @pytest.mark.parametrize("transcribed", [TRANSCRIBED_8, TRANSCRIBED_6, TRANSCRIBED_14])
 def test_transcriptions_have_4i_gram(transcribed):
-    s = int_matrix(transcribed)
+    s = np.array(transcribed, dtype=np.int64)
     assert np.array_equal(s.T @ s, 4 * np.eye(s.shape[0], dtype=np.int64))
 
 
@@ -179,17 +177,6 @@ def test_hypercube_support():
             assert g.has_edge(u, v) == differ_one_bit
 
 
-def test_doubling_matrices():
-    s1 = doubling_skew_matrix(1)
-    assert np.array_equal(s1, [[0, 1], [-1, 0]])
-    for d in range(1, 6):
-        s = doubling_skew_matrix(d)
-        assert np.array_equal(s.T, -s)
-        assert np.array_equal(s.T @ s, d * np.eye(1 << d, dtype=np.int64))
-    with pytest.raises(ValueError):
-        doubling_skew_matrix(0)
-
-
 def test_edge_recursion_sizes_and_membership():
     # each ladder step drops the previous inner 4-cycle and adds 12 edges
     for i in range(2, 6):
@@ -217,54 +204,54 @@ def test_every_orientation_is_optimum():
         assert is_optimum(orient_family(label), label.regularity), str(label)
 
 
+def member_blocks():
+    """The paper's bridge blocks as the package emits them: A, B and C read
+    off the skew matrix of gi(1), D off that of hj(1)."""
+    g = skew_adjacency(orient_family(gi(1)))
+    h = skew_adjacency(orient_family(hj(1)))
+    return g[0:2, 2:6], g[2:6, 6:10], g[6:10, 6:10], h[2:6, 6:8]
+
+
 def test_canonical_blocks_transcription():
-    bs = canonical_blocks()
-    assert np.array_equal(bs.a, [[1, 1, 1, 1], [1, 1, -1, -1]])
+    a, b, c, d = member_blocks()
+    assert np.array_equal(a, [[1, 1, 1, 1], [1, 1, -1, -1]])
     assert np.array_equal(
-        bs.b, [[1, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 1], [0, 0, -1, -1]]
+        b, [[1, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 1], [0, 0, -1, -1]]
     )
     assert np.array_equal(
-        bs.c, [[0, 0, -1, 1], [0, 0, 1, -1], [1, -1, 0, 0], [-1, 1, 0, 0]]
+        c, [[0, 0, -1, 1], [0, 0, 1, -1], [1, -1, 0, 0], [-1, 1, 0, 0]]
     )
-    assert np.array_equal(bs.d, [[-1, 1], [1, -1], [-1, -1], [1, 1]])
-    assert not np.any(bs.b @ bs.b)
-    assert np.array_equal(bs.d.T @ bs.d, 4 * np.eye(2, dtype=np.int64))
+    assert np.array_equal(d, [[-1, 1], [1, -1], [-1, -1], [1, 1]])
+    assert not np.any(b @ b)
+    assert np.array_equal(d.T @ d, 4 * np.eye(2, dtype=np.int64))
 
 
 def test_all_identity_sets_pass_for_canonical_blocks():
-    bs = canonical_blocks()
-    for which in (1, 2, 3):
-        report = check_block_identities(bs, which)
-        assert report and all(report.values()), (which, report)
-    with pytest.raises(ValueError):
-        check_block_identities(bs, 4)
+    # every gi(i) and hj(j) lays the same blocks along its superdiagonal, A,
+    # then B repeated, then D for hj; gi ends in C on the diagonal instead
+    a, b, c, d = member_blocks()
+    report = block_identities(a, b, c, d)
+    assert len(report) == 12 and all(report.values()), report
+    for index in range(1, 5):
+        for label, supers in ((gi(index), [a] + [b] * index),
+                              (hj(index), [a] + [b] * (index - 1) + [d])):
+            s = skew_adjacency(orient_family(label))
+            row = 0
+            for block in supers:
+                height, width = block.shape
+                col = row + height
+                assert np.array_equal(s[row:col, col:col + width], block), str(label)
+                row = col
+            if label.kind == "gi":
+                assert np.array_equal(s[row:, row:], c), str(label)
 
 
 def test_flipped_entry_fails_identity():
-    bs = canonical_blocks()
-    a = bs.a.copy()
+    a, b, c, d = member_blocks()
+    a = a.copy()
     a[0, 0] = -1
-    broken = BlockSet(a=a, b=bs.b, c=bs.c, d=bs.d)
-    report = check_block_identities(broken, 1)
+    report = block_identities(a, b, c, d)
     assert not report["AAt=4I2"]
-
-
-def test_blockset_shape_validation():
-    bs = canonical_blocks()
-    with pytest.raises(ValueError):
-        BlockSet(a=bs.b, b=bs.b, c=bs.c, d=bs.d)
-    with pytest.raises(ValueError):
-        BlockSet(a=2 * bs.a, b=bs.b, c=bs.c, d=bs.d)
-
-
-def test_block_skew_matrix_shapes_and_grams():
-    for label, n in ((gi(1), 10), (gi(2), 14), (hj(1), 8), (hj(2), 12)):
-        m = block_skew_matrix(label)
-        assert m.shape == (n, n)
-        assert np.array_equal(m.T, -m)
-        assert np.array_equal(m.T @ m, 4 * np.eye(n, dtype=np.int64))
-    with pytest.raises(ValueError):
-        block_skew_matrix(G1)
 
 
 def ladder_matrix(kind: str, index: int) -> np.ndarray:
@@ -287,22 +274,4 @@ def test_block_matrix_agrees_with_recursive_orientation():
             assert (g.n, g.edges) == (n, edges), str(label)
             assert (og.base.n, og.base.edges) == (n, edges), str(label)
             assert og.arcs == tuple(sorted(arcs)), str(label)
-            assert np.array_equal(block_skew_matrix(label), ladder_matrix(kind, index))
-
-
-def test_block_substitution_row_permuted_b():
-    bs = canonical_blocks()
-    permuted = BlockSet(a=bs.a, b=bs.b[[1, 0, 2, 3], :], c=bs.c, d=bs.d)
-    m = block_skew_matrix(gi(1), permuted)
-    assert np.array_equal(m.T @ m, 4 * np.eye(10, dtype=np.int64))
-
-
-def test_block_substitution_failure_is_reported():
-    bs = canonical_blocks()
-    zero_d = BlockSet(a=bs.a, b=bs.b, c=bs.c, d=np.zeros((4, 2), dtype=np.int64))
-    with pytest.raises(ValueError, match="DtD"):
-        block_skew_matrix(hj(2), zero_d)
-    flipped_b = bs.b.copy()
-    flipped_b[0, 0] = -1
-    with pytest.raises(ValueError):
-        block_skew_matrix(gi(2), BlockSet(a=bs.a, b=flipped_b, c=bs.c, d=bs.d))
+            assert np.array_equal(skew_adjacency(og), ladder_matrix(kind, index))

@@ -1,5 +1,6 @@
 """tests/oracles.py stays independent of the package internals: from
-skewopt it imports only the public names of skewopt.__all__."""
+skewopt it imports only the public names of skewopt.__all__, each of which
+must resolve on the package."""
 
 from __future__ import annotations
 
@@ -45,3 +46,10 @@ def test_import_check_flags_internals():
         ("def f():\n    from skewopt import *", "*"),
     ):
         assert imports_past_the_api(line) == [flagged], line
+
+
+def test_all_names_resolve_sorted_and_unique():
+    # a stale entry would break only `from skewopt import *`
+    names = skewopt.__all__
+    assert [name for name in names if not hasattr(skewopt, name)] == []
+    assert names == sorted(set(names))
