@@ -43,10 +43,6 @@ class Classification:
     label: FamilyLabel | None
     certificate: tuple[int, ...] | None
 
-    @property
-    def in_family(self) -> bool:
-        return self.label is not None
-
 
 def _members(mask: int) -> list[int]:
     out = []
@@ -195,7 +191,7 @@ def _certificate(g: Graph) -> _Certificate:
     signatures = []
     for colours, ordered in _rounds(g.adj, g.around):
         signatures.append(ordered)
-    return _Certificate(g.n, g.edge_count, tuple(signatures), match_plan(g.adj, colours))
+    return _Certificate(g.n, len(g.edges), tuple(signatures), match_plan(g.adj, colours))
 
 
 # a member refines in one or two rounds, so its certificate is about the size
@@ -216,7 +212,7 @@ def _onto(g: Graph, cert: _Certificate):
     preserves the stable colours and `match` finds one from the planned
     graph onto g, which is inverted.
     """
-    if g.n != cert.n or g.edge_count != cert.edge_count:
+    if g.n != cert.n or len(g.edges) != cert.edge_count:
         return None
     rounds = _rounds(g.adj, g.around)
     for signatures, (colours, ordered) in zip(cert.signatures, rounds):
@@ -234,7 +230,7 @@ def _onto(g: Graph, cert: _Certificate):
 def isomorphic(g: Graph, h: Graph):
     """An adjacency-preserving bijection g -> h as a tuple, or None; the
     classifier's routine with h's certificate built on the spot."""
-    if g.n != h.n or g.edge_count != h.edge_count:
+    if g.n != h.n or len(g.edges) != len(h.edges):
         return None  # before h is refined for nothing
     return _onto(g, _certificate(h))
 

@@ -169,11 +169,11 @@ def parse_arclist(data, max_order: int | None = None) -> OrientedGraph:
             raise FormatError(f"line {lineno}: edge {key} appears more than once")
         seen.add(key)
         arcs.append((t, h))
-    return OrientedGraph(Graph(n, [tuple(sorted(a)) for a in arcs]), arcs)
+    return OrientedGraph(Graph(n, arcs), arcs)
 
 
 def emit_arclist(og: OrientedGraph) -> bytes:
-    """Emit "n m" then arcs sorted by (tail, head), LF line endings."""
+    """Emit "n m" then the arcs, stored sorted by (tail, head), LF endings."""
     lines = [f"{og.base.n} {len(og.arcs)}"]
-    lines.extend(f"{t} {h}" for t, h in sorted(og.arcs))
+    lines.extend(f"{t} {h}" for t, h in og.arcs)
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -1,14 +1,17 @@
 """Simple undirected graphs and edge orientations.
 
 Vertices are dense integers 0..n-1.  Both graph classes are immutable after
-construction.  A Graph keeps `around`, each vertex's sorted neighbours; its
-bitsets `adj` (bit w of adj[v] set when vw is an edge, about n^2/15 bytes in
-all) and its connectivity are built on first request and kept.
+construction.  A Graph keeps `n`, its sorted `edges` and `around`, each
+vertex's sorted neighbours; its bitsets `adj` (bit w of adj[v] set when vw is
+an edge, about n^2/15 bytes in all) and its connectivity are built on first
+request and kept.  An OrientedGraph keeps its base and its sorted `arcs`, one
+(tail, head) per edge; the entry (u, v) of its skew-adjacency matrix is +1
+for an arc u -> v.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
@@ -48,27 +51,8 @@ class Graph:
             self._bits = tuple(sum(1 << w for w in a) for a in self.around)
         return self._bits
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.around]
-
     def max_degree(self) -> int:
         return max(map(len, self.around), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        # a shift by a negative count raises, so v is range-checked too
-        return 0 <= u < self.n and 0 <= v and bool(self.adj[u] >> v & 1)
-
-    def common_neighbors(self, u: int, v: int) -> frozenset[int]:
-        """N(u) intersect N(v) for distinct vertices u, v."""
-        if u == v:
-            raise ValueError(f"common_neighbors needs distinct vertices, got {u} twice")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range: ({u}, {v}) with n={self.n}")
-        return frozenset(self.around[u]).intersection(self.around[v])
 
     def is_regular(self, k: int) -> bool:
         return all(len(a) == k for a in self.around)
@@ -86,16 +70,6 @@ class Graph:
             self._connected = len(seen) == self.n
         return self._connected
 
-    def is_triangle_free(self) -> bool:
-        return not any(self.adj[u] & self.adj[v] for u, v in self.edges)
-
-    def relabel(self, permutation: Sequence[int]) -> "Graph":
-        """Image under vertex map v -> permutation[v]."""
-        p = list(permutation)
-        if sorted(p) != list(range(self.n)):
-            raise ValueError("relabel needs a permutation of 0..n-1")
-        return Graph(self.n, [(p[u], p[v]) for u, v in self.edges])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -109,58 +83,18 @@ class Graph:
 
 
 class OrientedGraph:
-    """A Graph plus one direction (tail, head) per edge."""
+    """A Graph plus one direction (tail, head) per edge; `arcs` is sorted."""
 
-    __slots__ = ("base", "arcs", "_sign")
+    __slots__ = ("base", "arcs")
 
     def __init__(self, base: Graph, arcs: Iterable[tuple[int, int]]):
         self.base = base
-        edge_set = set(base.edges)
-        sign: dict[tuple[int, int], int] = {}
-        for t, h in arcs:
-            e = (t, h) if t < h else (h, t)
-            if e not in edge_set:
-                raise ValueError(f"arc ({t}, {h}) is not an edge of the base graph")
-            if e in sign:
-                raise ValueError(f"edge {e} oriented more than once")
-            sign[e] = 1 if (t, h) == e else -1
-        if len(sign) != len(base.edges):
-            missing = sorted(edge_set - sign.keys())
-            raise ValueError(f"orientation missing edges: {missing[:5]}")
-        self._sign = sign
-        self.arcs = tuple(
-            sorted((u, v) if s == 1 else (v, u) for (u, v), s in sign.items())
-        )
-
-    def sign(self, u: int, v: int) -> int:
-        """+1 if arc u->v, -1 if arc v->u, 0 if u,v non-adjacent.
-
-        This is exactly the (u, v) entry of the skew-adjacency matrix.
-        """
-        if u == v:
-            return 0
-        e = (u, v) if u < v else (v, u)
-        s = self._sign.get(e)
-        if s is None:
-            return 0
-        return s if u < v else -s
-
-    def switch(self, vertices: Iterable[int]) -> "OrientedGraph":
-        """Reverse every arc with exactly one endpoint in the given set."""
-        s = set(vertices)
-        for v in s:
-            if not (0 <= v < self.base.n):
-                raise ValueError(f"switch vertex {v} out of range")
-        flipped = [
-            (h, t) if (t in s) != (h in s) else (t, h) for t, h in self.arcs
-        ]
-        return OrientedGraph(self.base, flipped)
-
-    def relabel(self, permutation: Sequence[int]) -> "OrientedGraph":
-        p = list(permutation)
-        return OrientedGraph(
-            self.base.relabel(p), [(p[t], p[h]) for t, h in self.arcs]
-        )
+        self.arcs = tuple(sorted((t, h) for t, h in arcs))
+        # one arc per edge: an arc off the graph, a loop, an end out of range,
+        # an edge oriented twice or an edge left out all break the equality
+        edges = tuple(sorted((t, h) if t < h else (h, t) for t, h in self.arcs))
+        if edges != base.edges:
+            raise ValueError("arcs must orient each edge of the base graph exactly once")
 
     def __eq__(self, other) -> bool:
         return (

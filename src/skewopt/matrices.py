@@ -20,7 +20,7 @@ ENERGY_TOLERANCE = 1e-8
 
 
 def skew_adjacency(og: OrientedGraph) -> np.ndarray:
-    """The n x n matrix with entry (u, v) = og.sign(u, v): +1 iff arc u -> v."""
+    """The n x n matrix with entry (u, v) +1 iff arc u -> v, -1 iff v -> u, else 0."""
     n = og.base.n
     m = np.zeros((n, n), dtype=np.int64)
     for t, h in og.arcs:

@@ -8,11 +8,13 @@ networkx isomorphism and automorphism counts instead of orderly generation,
 a first-touch relabeler that tries every root and every order of every fresh
 block instead of the enumerator's cuts, a pair-by-pair common-neighbour count
 instead of adjacency bitsets, signed walks counted one by one instead of
-matrix products, a switching-class enumerator with its own breadth-first
-frame, the named-vertex recursion for the ladder families gi/hj instead of
-the paper's block matrices, and numpy products for the paper's block
-identities, checked on blocks read off the package's own matrices. Only
-public names of skewopt are imported, as test_oracles checks.
+matrix products, relabeling and switching written out on the edge and arc
+lists, a switching-class enumerator with its own breadth-first frame, the
+named-vertex recursion for the ladder families gi/hj instead of the paper's
+block matrices, and numpy products for the paper's block identities, checked
+on blocks read off the package's own matrices. Only public names of skewopt
+are imported, and no single-underscore attribute is read, as test_oracles
+checks.
 """
 
 from __future__ import annotations
@@ -462,7 +464,7 @@ def neighbor_parity_violations(n: int, edges, mode: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# signed walks, one by one, and the disjoint union
+# signed walks, one by one; relabeling, switching and the disjoint union
 # ---------------------------------------------------------------------------
 
 WALK_LENGTH_CAP = 8
@@ -482,6 +484,15 @@ class SignedWalkCount:
         return self.positive - self.negative
 
 
+def arc_signs(og) -> dict:
+    """The skew entry of every adjacent ordered pair: +1 for (t, h) and -1
+    for (h, t), for each arc t -> h."""
+    entry = {}
+    for t, h in og.arcs:
+        entry[t, h], entry[h, t] = 1, -1
+    return entry
+
+
 def signed_walk_counts(og, u: int, v: int, k: int) -> SignedWalkCount:
     """Count positive and negative length-k walks u -> v by explicit search.
 
@@ -494,6 +505,7 @@ def signed_walk_counts(og, u: int, v: int, k: int) -> SignedWalkCount:
         raise ValueError(f"vertices must lie in 0..{base.n - 1}")
     if not 1 <= k <= WALK_LENGTH_CAP:
         raise ValueError(f"walk length must lie in 1..{WALK_LENGTH_CAP}, got {k}")
+    entry = arc_signs(og)
     counts = [0, 0]  # positive, negative
     # stack of (vertex, steps taken, sign so far)
     stack = [(u, 0, 1)]
@@ -504,7 +516,7 @@ def signed_walk_counts(og, u: int, v: int, k: int) -> SignedWalkCount:
                 counts[sign < 0] += 1
             continue
         for y in base.around[x]:
-            stack.append((y, steps + 1, sign * og.sign(x, y)))
+            stack.append((y, steps + 1, sign * entry[x, y]))
     return SignedWalkCount(*counts)
 
 
@@ -530,12 +542,45 @@ def two_walk_balanced(og) -> bool:
     being exactly k times the identity; non-regular inputs are rejected so
     the equivalence is never silently weakened.
     """
-    if len(set(og.base.degrees())) > 1:
+    if len({len(a) for a in og.base.around}) > 1:
         raise ValueError("two-walk balance test needs a regular graph")
     return all(
         signed_walk_counts(og, u, v, 2).difference == 0
         for u, v in combinations(range(og.base.n), 2)
     )
+
+
+def relabel(g, perm):
+    """The image of g under the vertex map v -> perm[v]."""
+    p = list(perm)
+    if sorted(p) != list(range(g.n)):
+        raise ValueError("relabel needs a permutation of 0..n-1")
+    return Graph(g.n, [(p[u], p[v]) for u, v in g.edges])
+
+
+def relabel_oriented(og, perm):
+    """The image of og, base and arcs, under the vertex map v -> perm[v]."""
+    p = list(perm)
+    return OrientedGraph(relabel(og.base, p), [(p[t], p[h]) for t, h in og.arcs])
+
+
+def switch(og, vertices):
+    """Reverse every arc with exactly one end in the given vertex set."""
+    s = set(vertices)
+    if not s <= set(range(og.base.n)):
+        raise ValueError(f"switch vertices must lie in 0..{og.base.n - 1}")
+    return OrientedGraph(og.base, [
+        (h, t) if (t in s) != (h in s) else (t, h) for t, h in og.arcs
+    ])
+
+
+def is_isomorphism(g, h, mapping) -> bool:
+    """True iff mapping is a bijection of 0..n-1 that carries the edge set
+    of g onto exactly the edge set of h."""
+    if g.n != h.n or sorted(mapping) != list(range(g.n)):
+        return False
+    image = {frozenset((mapping[u], mapping[v])) for u, v in g.edges}
+    return image == {frozenset(e) for e in h.edges}
 
 
 def disjoint_union(a, b):

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import switching_classes
+from oracles import switch, switching_classes
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family, gi, hj,
     is_optimum, orient_family, skew_adjacency, skew_energy,
@@ -59,7 +59,7 @@ def test_gram_diagonal_is_degree():
         s = skew_adjacency(og)
         q = s.T @ s
         assert np.array_equal(q.T, q)
-        assert list(np.diag(q)) == og.base.degrees()
+        assert list(np.diag(q)) == [len(a) for a in og.base.around]
         assert min(np.linalg.eigvalsh(q.astype(float))) > -1e-9
 
 
@@ -89,7 +89,7 @@ def test_is_optimum_matches_matrix_square():
     for og in members:
         for _ in range(10):
             s = [v for v in range(og.base.n) if rng.random() < 0.5]
-            candidates.append(og.switch(s))
+            candidates.append(switch(og, s))
     for g in (build_family(G1), build_family(G2)):
         for _ in range(5):
             candidates.append(_random_orientation(g, rng))
@@ -112,7 +112,8 @@ def test_is_optimum_agrees_with_dense_gram():
     for label in (K2, C4, K4, Q3, G1, G2, G3, Q4, gi(1), hj(1), hj(2)):
         og = orient_family(label)
         for _ in range(5):
-            switched = og.switch([v for v in range(og.base.n) if rng.random() < 0.5])
+            switched = switch(og, [v for v in range(og.base.n)
+                                   if rng.random() < 0.5])
             arcs = list(switched.arcs)
             arcs[0] = arcs[0][::-1]
             cases += [switched, OrientedGraph(og.base, arcs)]
@@ -211,5 +212,5 @@ def test_switch_preserves_optimum():
     )
     for _ in range(50):
         s = [v for v in range(8) if rng.random() < 0.5]
-        assert is_optimum(og.switch(s), 4)
-        assert not is_optimum(non_opt.switch(s), 4)
+        assert is_optimum(switch(og, s), 4)
+        assert not is_optimum(switch(non_opt, s), 4)

@@ -1,6 +1,6 @@
 """tests/oracles.py stays independent of the package internals: from
 skewopt it imports only the public names of skewopt.__all__, each of which
-must resolve on the package."""
+must resolve on the package, and it reads no single-underscore attribute."""
 
 from __future__ import annotations
 
@@ -28,10 +28,19 @@ def imports_past_the_api(source: str) -> list[str]:
     return found
 
 
+def private_attributes(source: str) -> list[str]:
+    """Each attribute read like `x._name`: one leading underscore, not a
+    dunder."""
+    return [node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.startswith("__")]
+
+
 def test_oracles_import_only_public_names():
     source = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
     assert "from skewopt import" in source
     assert imports_past_the_api(source) == []
+    assert private_attributes(source) == []
 
 
 def test_import_check_flags_internals():
@@ -46,6 +55,14 @@ def test_import_check_flags_internals():
         ("def f():\n    from skewopt import *", "*"),
     ):
         assert imports_past_the_api(line) == [flagged], line
+    assert private_attributes("og.arcs\ng.__class__.__name__\nf(g).adj") == []
+    for line, flagged in (
+        ("og._sign", "_sign"),
+        ("sign = og._sign.get((u, v))", "_sign"),
+        ("g._bits[0] & 1", "_bits"),
+        ("getattr(g, 'x')._connected", "_connected"),
+    ):
+        assert private_attributes(line) == [flagged], line
 
 
 def test_all_names_resolve_sorted_and_unique():
