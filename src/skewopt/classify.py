@@ -20,9 +20,9 @@ a certificate: the signature lists of all its refinement rounds and the
 match plan over its stable colours. A member's certificate is computed once
 per label and cached, so classification refines only the input graph;
 `isomorphic(g, h)` is the same routine with h's certificate built on the
-spot. The enumerator's deduplication in `search` keys and matches its small
-completions on the first round's colours alone, which any isomorphism
-preserves just as well.
+spot. The enumerator's state check in `search` keys and matches its small
+completions and partial graphs on the first round's colours alone, which
+any isomorphism preserves just as well.
 """
 
 from __future__ import annotations

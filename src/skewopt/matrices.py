@@ -3,17 +3,22 @@ computed by LAPACK.
 
 Matrices are numpy int64 arrays; `is_optimum` decides S^T S = kI in exact
 integer arithmetic from the arcs.  Floats appear only in energy reporting:
-the energy and the Gram spectrum come from one SVD of S.
+the energy and the Gram spectrum come from one SVD of S.  numpy is imported
+by the two functions that build S, so the commands that build no matrix
+(`generate` to graph6 or arcs, `classify`, `census`, and a `search` that
+finds no orientation) never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import OrientedGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # absolute slack of SpectralSummary.attains_bound, for the SVD's rounding
 ENERGY_TOLERANCE = 1e-8
@@ -21,6 +26,8 @@ ENERGY_TOLERANCE = 1e-8
 
 def skew_adjacency(og: OrientedGraph) -> np.ndarray:
     """The n x n matrix with entry (u, v) +1 iff arc u -> v, -1 iff v -> u, else 0."""
+    import numpy as np
+
     n = og.base.n
     m = np.zeros((n, n), dtype=np.int64)
     for t, h in og.arcs:
@@ -73,6 +80,8 @@ class SpectralSummary:
 
 def skew_energy(og: OrientedGraph) -> SpectralSummary:
     """Energy summary from one SVD of S; upper_bound is n*sqrt(max degree)."""
+    import numpy as np
+
     # nonnegative and nonincreasing, as LAPACK returns them
     sigma = np.linalg.svd(skew_adjacency(og), compute_uv=False).tolist()
     bound = og.base.n * math.sqrt(og.base.max_degree())

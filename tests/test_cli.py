@@ -267,14 +267,19 @@ print(code, seconds, peak)
 """
 
 
+def _child_env() -> dict:
+    # a fresh interpreter that imports this checkout's skewopt
+    root = os.path.dirname(os.path.dirname(skewopt.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH")))))
+
+
 def test_generate_large_member_builds_no_bitsets():
     # hj(16383) has 65536 vertices. Arc lists and the JSON report read only
     # the edges and arcs; bitsets for it would take about n^2/15 = 286 MB.
     # On x86-64 Linux with Python 3.11 the peak is about 90-125 MB, and
     # 380-410 MB if Graph builds its bitsets with its edges
-    root = os.path.dirname(os.path.dirname(skewopt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (root, os.environ.get("PYTHONPATH")))))
+    env = _child_env()
     for extra in (["--oriented"], ["--format", "json"]):
         done = subprocess.run(
             [sys.executable, "-c", _TIMED_GENERATE, "--family", "hj(16383)", *extra],
@@ -284,6 +289,16 @@ def test_generate_large_member_builds_no_bitsets():
         assert int(code) == 0, extra
         assert float(seconds) < 10.0, extra
         assert int(peak_kib) < 250 * 1024, extra
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only the skew matrix needs numpy, which takes most of the import time
+    # of the commands that build none
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, skewopt.cli; print('numpy' in sys.modules)"],
+        env=_child_env(), capture_output=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == b"False"
 
 
 def test_classify_large_relabeled_member(tmp_path, capsysbinary):

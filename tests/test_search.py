@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import time
@@ -443,6 +444,24 @@ def test_enumeration_small_degree():
     assert list(enumerate_connected_k_regular(4, 4)) == []
     k5 = list(enumerate_connected_k_regular(5, 4))
     assert len(k5) == 1 and k5[0] == complete_graph(5)
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # the search state goes by reference counting when an enumeration ends
+    # or is closed; the cycle collector would find nothing left to free
+    gc.disable()
+    try:
+        gc.collect()
+        for n, k in ((8, 4), (10, 3)):
+            for _ in enumerate_connected_k_regular(n, k):
+                pass
+            assert gc.collect() == 0, (n, k)
+        graphs = enumerate_connected_k_regular(10, 4)
+        next(graphs)
+        graphs.close()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_order_cap():
