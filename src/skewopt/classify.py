@@ -177,12 +177,10 @@ def match(plan, adj: Sequence[int], colours: list[int]):
 
 
 class _Certificate(NamedTuple):
-    """What matching a graph onto g needs of g: its order and size, the
-    signature list of every refinement round, and the `match_plan` over its
-    stable colours (which carries g's adjacency)."""
+    """What matching a graph onto g needs of g: the signature list of every
+    refinement round, and the `match_plan` over its stable colours (which
+    carries g's adjacency)."""
 
-    n: int
-    edge_count: int
     signatures: tuple[list, ...]
     plan: tuple
 
@@ -191,7 +189,7 @@ def _certificate(g: Graph) -> _Certificate:
     signatures = []
     for colours, ordered in _rounds(g.adj, g.around):
         signatures.append(ordered)
-    return _Certificate(g.n, len(g.edges), tuple(signatures), match_plan(g.adj, colours))
+    return _Certificate(tuple(signatures), match_plan(g.adj, colours))
 
 
 # a member refines in one or two rounds, so its certificate is about the size
@@ -206,14 +204,13 @@ def _onto(g: Graph, cert: _Certificate):
     a tuple, or None.
 
     g is refined in step with the certificate's signature lists and rejected
-    at the first round that differs. Equal lists give equal colour counts,
+    at the first round that differs; the first round's list already differs
+    when the orders or the degree sequences do. Equal lists give equal colour counts,
     so both refinements stop at the same round, and a colour is the rank of
     its signature in a list the two graphs share; so every isomorphism
     preserves the stable colours and `match` finds one from the planned
     graph onto g, which is inverted.
     """
-    if g.n != cert.n or len(g.edges) != cert.edge_count:
-        return None
     rounds = _rounds(g.adj, g.around)
     for signatures, (colours, ordered) in zip(cert.signatures, rounds):
         if ordered != signatures:
@@ -237,6 +234,8 @@ def isomorphic(g: Graph, h: Graph):
 
 def classify(g: Graph, k: int = 4) -> Classification:
     """Match a connected k-regular graph (k = 1..4) against the known members."""
+    if g.n == 0:
+        raise ValueError("input graph is empty")
     if not g.is_regular(k):
         raise ValueError(f"classification applies to {k}-regular graphs")
     if not g.is_connected():

@@ -1,6 +1,10 @@
 """Command-line surface.
 
 Subcommands: generate, verify, energy, search, classify, census.
+verify, energy, search and classify read the input file named by their one
+positional argument; census reads a graph6 corpus named the same way or
+enumerates up to --max-n, exactly one of the two. classify matches 4-regular
+graphs only and takes no --k.
 Exit codes: 0 success, 1 negative answer under --strict, 2 unreadable or
 malformed input, 3 invalid arguments (an empty graph, an arc list above
 ARCLIST_ORDER_LIMIT vertices, a generate label of order GRAPH6_ORDER_LIMIT
@@ -33,7 +37,6 @@ from .search import (
 )
 from .verify import neighbor_parity_report
 
-K_RANGE = (1, 8)
 # verify, energy and generate --oriented --format json build dense n x n
 # matrices (numpy's SVD of S takes about 1.6 s at n = 2000 and 14 s at
 # n = 4000), so larger inputs exit 3
@@ -42,23 +45,9 @@ ARCLIST_ORDER_LIMIT = 2000
 GRAPH6_BODY_LIMIT = 1 << 24
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
-
-
-def _bounded(low: int, high: int):
-    """argparse type: an integer in low..high (otherwise exit 3)."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must lie in {low}..{high}")
-        return value
-    return integer
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -67,14 +56,13 @@ def _build_parser() -> _Parser:
 
     # each subcommand takes only the flags it reads, so a misplaced flag is a
     # usage error rather than silently ignored
-    def add(name, command, help_text, *, path_arg=True):
+    def add(name, command, help_text, *, nargs=None, k=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(command=command)
-        if path_arg:
-            p.add_argument("path", nargs="?", help="input file (or use --input)")
-        p.add_argument("--input", help="input file")
+        p.add_argument("path", nargs=nargs, help="input file")
         p.add_argument("--output", help="write result here instead of stdout")
-        p.add_argument("--k", type=_bounded(*K_RANGE), default=4)
+        if k:
+            p.add_argument("--k", type=int, choices=range(1, 9), default=4)
         p.add_argument("--strict", action="store_true",
                        help="exit 1 when the answer is negative")
         return p
@@ -90,11 +78,13 @@ def _build_parser() -> _Parser:
     add("verify", _cmd_verify, "check an oriented graph (arc-list input)")
     add("energy", _cmd_energy, "spectral summary of an oriented graph (arc-list input)")
     add("search", _cmd_search, "exhaustive optimum-orientation search (graph6 input)")
-    add("classify", _cmd_classify, "family membership of a 4-regular graph (graph6 input)")
+    add("classify", _cmd_classify, "family membership of a 4-regular graph (graph6 input)",
+        k=False)
 
-    c = add("census", _cmd_census, "search + classify a whole corpus", path_arg=False)
-    c.add_argument("--max-n", type=_bounded(1, ENUMERATION_ORDER_CAP), dest="max_n",
-                   help="use the built-in enumerator up to this order")
+    c = add("census", _cmd_census, "search + classify a whole corpus (graph6 input)",
+            nargs="?")
+    c.add_argument("--max-n", type=int, choices=range(1, ENUMERATION_ORDER_CAP + 1),
+                   dest="max_n", help="use the built-in enumerator up to this order")
     return parser
 
 
@@ -110,15 +100,6 @@ def _write(args, payload: bytes) -> None:
     else:
         with open(args.output, "wb") as fh:
             fh.write(payload)
-
-
-def _require_input(args) -> bytes:
-    if args.path is not None and args.input is not None:
-        raise _UsageError("give the input either positionally or via --input")
-    path = args.input if args.path is None else args.path
-    if path is None:
-        raise _UsageError(f"{args.subcommand} needs an input file")
-    return _read(path)
 
 
 def _single_graph(data: bytes) -> Graph:
@@ -164,23 +145,23 @@ def _cmd_generate(args) -> int:
     label = FamilyLabel.parse(args.family)
     fmt = args.fmt or ("arcs" if args.oriented else "graph6")
     if args.oriented and fmt == "graph6":
-        raise _UsageError("graph6 cannot carry an orientation; use arcs or json")
+        raise ValueError("graph6 cannot carry an orientation; use arcs or json")
     if not args.oriented and fmt == "arcs":
-        raise _UsageError("arc-list output needs --oriented")
+        raise ValueError("arc-list output needs --oriented")
     # checked before building, which takes seconds near the graph6 bound and
     # runs out of memory beyond it, whatever the format
     n = family_order(label)
     if n >= GRAPH6_ORDER_LIMIT:
-        raise _UsageError(
+        raise ValueError(
             f"{label} has {n} vertices; generated orders stop below {GRAPH6_ORDER_LIMIT}"
         )
     if fmt == "graph6" and (n * (n - 1) // 2 + 5) // 6 > GRAPH6_BODY_LIMIT:
-        raise _UsageError(
+        raise ValueError(
             f"{label} has {n} vertices; its graph6 body would pass {GRAPH6_BODY_LIMIT} bytes"
         )
     # the JSON report's energy takes the SVD of the dense n x n matrix S
     if args.oriented and fmt == "json" and n > ARCLIST_ORDER_LIMIT:
-        raise _UsageError(
+        raise ValueError(
             f"{label} has {n} vertices; oriented JSON reports stop at {ARCLIST_ORDER_LIMIT}"
         )
     if args.oriented:
@@ -208,7 +189,7 @@ def _cmd_generate(args) -> int:
 
 
 def _oriented_input(args) -> OrientedGraph:
-    og = parse_arclist(_require_input(args), ARCLIST_ORDER_LIMIT)
+    og = parse_arclist(_read(args.path), ARCLIST_ORDER_LIMIT)
     if og.base.n == 0:
         # every statement about the Gram of an empty graph holds vacuously
         raise ValueError("input graph is empty")
@@ -238,7 +219,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    g = _single_graph(_require_input(args))
+    g = _single_graph(_read(args.path))
     witness = find_optimum_orientation(g, args.k)
     report = _graph_report(g, args.k)
     report.update(_classification_field(g))
@@ -257,9 +238,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.k != 4:
-        raise _UsageError("classify matches 4-regular graphs only; --k must be 4")
-    g = _single_graph(_require_input(args))
+    g = _single_graph(_read(args.path))
     result = classify(g)
     report = _graph_report(g, 4)
     report["classification"] = None if result.label is None else str(result.label)
@@ -268,8 +247,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if (args.max_n is None) == (args.input is None):
-        raise _UsageError("census needs exactly one of --max-n or --input")
+    if (args.max_n is None) == (args.path is None):
+        raise ValueError("census needs exactly one of a corpus file or --max-n")
     if args.max_n is not None:
         graphs = [
             g
@@ -277,7 +256,7 @@ def _cmd_census(args) -> int:
             for g in enumerate_connected_k_regular(n, args.k)
         ]
     else:
-        graphs = parse_graph6_lines(_read(args.input))
+        graphs = parse_graph6_lines(_read(args.path))
     report = census(graphs, args.k)
     payload = {
         "k": args.k,
@@ -295,13 +274,8 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.command(args)
-    except _UsageError as exc:
-        print(f"skewopt: {exc}", file=sys.stderr)
-        return 3
-    except FormatError as exc:
-        print(f"skewopt: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # FormatError is a ValueError, so it is caught first
+    except (FormatError, OSError) as exc:
         print(f"skewopt: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

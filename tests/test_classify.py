@@ -222,6 +222,10 @@ def test_classify_rejects_bad_inputs():
     edges += [(u + 5, v + 5) for u, v in combinations(range(5), 2)]
     with pytest.raises(ValueError):
         classify(Graph(10, edges))
+    # the empty graph is vacuously regular and connected; that is no answer
+    for k in range(1, 5):
+        with pytest.raises(ValueError, match="empty"):
+            classify(Graph(0, []), k)
 
 
 def test_classify_nonmember():

@@ -393,7 +393,7 @@ def test_census_from_file(tmp_path, capsysbinary):
     lines = [emit_graph6(build_family(G2)), emit_graph6(build_family(G1)),
              emit_graph6(Graph(2, [(0, 1)]))]
     corpus.write_bytes(b"\n".join(lines) + b"\n")
-    code, report, _ = run_json(["census", "--input", str(corpus)], capsysbinary)
+    code, report, _ = run_json(["census", str(corpus)], capsysbinary)
     assert code == 0
     assert [r["classification"] for r in report["records"]] == ["g2", "g1"]
     assert report["skipped"] == [["A_", "not 4-regular"]]
@@ -403,7 +403,8 @@ def test_census_argument_validation(tmp_path):
     assert run(["census"]) == 3
     corpus = tmp_path / "c.g6"
     corpus.write_bytes(b"A_\n")
-    assert run(["census", "--max-n", "6", "--input", str(corpus)]) == 3
+    assert run(["census", str(corpus), "--max-n", "6"]) == 3
+    assert run(["census", "--max-n", "6", str(corpus)]) == 3
     assert run(["census", "--max-n", "0"]) == 3
 
 
@@ -440,16 +441,23 @@ def test_flags_that_do_nothing_are_rejected(tmp_path, capsysbinary):
     assert run(["census", "--max-n", "4", "--workers", "2"]) == 3
     for flag in (["--k", "7"], ["--strict"], ["--input", g2_path]):
         assert run(["generate", "--family", "g2", *flag]) == 3
+    # inputs are positional only, and classify matches 4-regular graphs only
+    for sub in ("search", "classify", "verify", "energy"):
+        assert run([sub, "--input", g2_path]) == 3
+    assert run(["census", "--input", g2_path]) == 3
+    assert run(["classify", g2_path, "--k", "4"]) == 3
     assert capsysbinary.readouterr().out == b""
-    code, report, _ = run_json(["classify", g2_path, "--k", "4"], capsysbinary)
+    code, report, _ = run_json(["classify", g2_path], capsysbinary)
     assert code == 0 and report["classification"] == "g2"
 
 
 def test_search_empty_graph_exits_three(tmp_path, capsysbinary):
     empty = tmp_path / "empty.g6"
     empty.write_bytes(b"?\n")
-    assert run(["search", str(empty)]) == 3
-    assert capsysbinary.readouterr().out == b""
+    for command in ("search", "classify"):
+        assert run([command, str(empty)]) == 3
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"" and b"empty" in captured.err
 
 
 def test_empty_arc_list_exits_three(tmp_path, capsysbinary):
