@@ -234,12 +234,9 @@ def isomorphic(g: Graph, h: Graph):
 
 def classify(g: Graph, k: int = 4) -> Classification:
     """Match a connected k-regular graph (k = 1..4) against the known members."""
-    if g.n == 0:
-        raise ValueError("input graph is empty")
-    if not g.is_regular(k):
-        raise ValueError(f"classification applies to {k}-regular graphs")
-    if not g.is_connected():
-        raise ValueError("classification applies to connected graphs")
+    defect = g.defect(k)
+    if defect is not None:
+        raise ValueError(f"cannot classify: {defect}")
     for label in candidate_members(g.n, k):
         mapping = _onto(g, _member_certificate(label))
         if mapping is not None:

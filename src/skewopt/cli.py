@@ -135,7 +135,7 @@ def _spectral_fields(og: OrientedGraph) -> dict:
 
 
 def _classification_field(g: Graph) -> dict:
-    if g.is_regular(4) and g.is_connected():
+    if g.defect(4) is None:
         result = classify(g)
         return {"classification": None if result.label is None else str(result.label)}
     return {}
@@ -210,12 +210,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_energy(args) -> int:
     og = _oriented_input(args)
-    summary = skew_energy(og)
     report = _graph_report(og.base, args.k)
-    report["skew_energy"] = _round12(summary.skew_energy)
-    report["upper_bound"] = _round12(summary.upper_bound)
+    report.update(_spectral_fields(og))
     _write(args, _json_bytes(report))
-    return 1 if args.strict and not summary.attains_bound() else 0
+    # E = n*sqrt(d) exactly when S^T S = dI; with no arcs both are 0
+    d = og.base.max_degree()
+    return 1 if args.strict and d and not is_optimum(og, d) else 0
 
 
 def _cmd_search(args) -> int:

@@ -70,6 +70,17 @@ class Graph:
             self._connected = len(seen) == self.n
         return self._connected
 
+    def defect(self, k: int) -> str | None:
+        """Why this is no connected k-regular graph with a vertex, or None:
+        the search, the classifier and the census take only such graphs."""
+        if self.n == 0:
+            return "empty graph"
+        if not self.is_regular(k):
+            return f"not {k}-regular"
+        if not self.is_connected():
+            return "not connected"
+        return None
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

@@ -20,9 +20,6 @@ from .graphs import OrientedGraph
 if TYPE_CHECKING:
     import numpy as np
 
-# absolute slack of SpectralSummary.attains_bound, for the SVD's rounding
-ENERGY_TOLERANCE = 1e-8
-
 
 def skew_adjacency(og: OrientedGraph) -> np.ndarray:
     """The n x n matrix with entry (u, v) +1 iff arc u -> v, -1 iff v -> u, else 0."""
@@ -67,15 +64,13 @@ class SpectralSummary:
     S is real and skew-symmetric, hence normal, so its eigenvalues are
     +-i*sigma for its singular values sigma, and the eigenvalues of S^T S are
     sigma**2. The energy (sum of absolute values of the eigenvalues of S)
-    is therefore sum(sigma).
+    is therefore sum(sigma). It reaches upper_bound exactly when S^T S is
+    (max degree) * I, which `is_optimum` decides.
     """
 
     gram_eigenvalues: tuple[float, ...]
     skew_energy: float
     upper_bound: float
-
-    def attains_bound(self) -> bool:
-        return self.skew_energy >= self.upper_bound - ENERGY_TOLERANCE
 
 
 def skew_energy(og: OrientedGraph) -> SpectralSummary:

@@ -122,49 +122,49 @@ def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
     order = [1 << i for i in reversed(range(f)) if (1 << i) not in basis]
     depth_of = {bit: d for d, bit in enumerate(order)}
     # settled[d + 1] holds the terms whose value is known once order[d] is
-    # set (settled[0] the constant ones); left[2j + value] is how many more
-    # terms of counted pair j may take that value
+    # set (settled[0] the constant ones); allowance 2j + value is how many
+    # more terms of counted pair j may take that value
     settled: list[list[tuple[int, int]]] = [[] for _ in range(len(order) + 1)]
-    left = []
+    allowances = []
     for j, (c, pair_terms) in enumerate(counted):
-        left += [c, c]
+        allowances += [c, c]
         for t in pair_terms:
             r = reduce(t)
             low = r & -r & variables
             settled[depth_of[low] + 1 if low else 0].append((2 * j, r))
 
-    def count(d: int, x: int, step: int) -> bool:
-        # step -1 takes the terms settled at d from their pairs' allowances,
-        # +1 gives them back; an overdrawn allowance is restored and fails
-        done = []
+    def draw(left: list[int], d: int, x: int) -> list[int] | None:
+        # a copy of the allowances with the terms settled at d taken out, or
+        # None when one of them overdraws its pair
+        left = left.copy()
         for slot, r in settled[d]:
             slot += (r & x).bit_count() & 1
-            left[slot] += step
-            done.append(slot)
+            left[slot] -= 1
             if left[slot] < 0:
-                for s in done:
-                    left[s] -= step
-                return False
-        return True
+                return None
+        return left
 
+    # stack[d] holds the allowances once order[:d] is set; a level that
+    # overdraws is never pushed, so backtracking only pops
     x = one
-    if not count(0, x, -1):
+    stack = [draw(allowances, 0, x)]
+    if stack[0] is None:
         return None
     tried = [0] * len(order)
-    depth = 0
-    while depth < len(order):
+    while len(stack) <= len(order):
+        depth = len(stack) - 1
         if tried[depth] < 2:
             bit = order[depth]
             x = x | bit if tried[depth] else x & ~bit
             tried[depth] += 1
-            if count(depth + 1, x, -1):
-                depth += 1
+            left = draw(stack[-1], depth + 1, x)
+            if left is not None:
+                stack.append(left)
             continue
         tried[depth] = 0
-        depth -= 1
-        if depth < 0:
+        stack.pop()
+        if not stack:
             return None
-        count(depth + 1, x, +1)
 
     # each pivot follows from the higher bits of its row
     for pivot in sorted(basis, reverse=True):
@@ -181,12 +181,9 @@ def find_optimum_orientation(g: Graph, k: int):
     failing the common-neighborhood parity filter return None without
     elimination.
     """
-    if g.n == 0:
-        raise ValueError("input graph is empty")
-    if not g.is_regular(k):
-        raise ValueError(f"input must be {k}-regular")
-    if not g.is_connected():
-        raise ValueError("input must be connected")
+    defect = g.defect(k)
+    if defect is not None:
+        raise ValueError(f"cannot search: {defect}")
     if not neighbor_parity_report(g).passed:
         return None
 
@@ -546,14 +543,11 @@ def census(inputs, k: int, *, workers: int = 1) -> CensusReport:
     graphs = []
     skipped = []
     for g in inputs:
-        if g.n == 0:
-            skipped.append((emit_graph6(g).decode("ascii"), "empty graph"))
-        elif not g.is_regular(k):
-            skipped.append((emit_graph6(g).decode("ascii"), f"not {k}-regular"))
-        elif not g.is_connected():
-            skipped.append((emit_graph6(g).decode("ascii"), "not connected"))
-        else:
+        defect = g.defect(k)
+        if defect is None:
             graphs.append(g)
+        else:
+            skipped.append((emit_graph6(g).decode("ascii"), defect))
     if workers == 1 or len(graphs) < 2:
         records = [theorem_crosscheck(g, k) for g in graphs]
     else:

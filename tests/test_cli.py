@@ -110,6 +110,23 @@ def test_energy_report(tmp_path, capsysbinary):
     capsysbinary.readouterr()
 
 
+def test_energy_strict_asks_the_gram_test(tmp_path, capsysbinary):
+    # the bound n*sqrt(d) is attained exactly when S^T S = dI; with no arcs
+    # it is 0 and attained
+    bare = tmp_path / "bare.arcs"
+    bare.write_bytes(b"3 0\n")
+    og = orient_family(G2)
+    member = tmp_path / "g2.arcs"
+    member.write_bytes(emit_arclist(og))
+    arcs = list(og.arcs)
+    arcs[0] = arcs[0][::-1]
+    flipped = tmp_path / "flipped.arcs"
+    flipped.write_bytes(emit_arclist(OrientedGraph(og.base, arcs)))
+    for path, want in ((bare, 0), (member, 0), (flipped, 1)):
+        assert run(["energy", str(path), "--strict"]) == want, path.name
+    capsysbinary.readouterr()
+
+
 def test_energy_of_singular_star(tmp_path, capsysbinary):
     # K_{1,9} oriented alternately; S is singular and the energy is 2*sqrt(9)
     star = Graph(10, [(0, i) for i in range(1, 10)])

@@ -96,6 +96,19 @@ def test_connectivity():
     assert not Graph(2, []).is_connected()
 
 
+def test_defect_names_the_first_failed_requirement():
+    k5 = Graph(5, combinations(range(5), 2))
+    assert k5.defect(4) is None
+    assert Graph(0, []).defect(4) == "empty graph"
+    assert Graph(0, []).defect(0) == "empty graph"
+    assert Graph(4, combinations(range(4), 2)).defect(4) == "not 4-regular"
+    # regularity is checked before connectivity
+    assert Graph(5, [(0, 1), (2, 3), (3, 4)]).defect(1) == "not 1-regular"
+    assert Graph(4, [(0, 1), (2, 3)]).defect(1) == "not connected"
+    assert Graph(1, []).defect(0) is None
+    assert build_family(hj(2)).defect(4) is None
+
+
 def test_common_neighbors_bounded_by_degrees():
     rng = random.Random(11)
     for _ in range(25):

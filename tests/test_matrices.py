@@ -152,17 +152,19 @@ def test_gram_eigenvalues_of_member():
 
 
 def test_skew_energy_k2():
-    summary = skew_energy(OrientedGraph(Graph(2, [(0, 1)]), [(0, 1)]))
+    og = OrientedGraph(Graph(2, [(0, 1)]), [(0, 1)])
+    summary = skew_energy(og)
     assert abs(summary.skew_energy - 2.0) < 1e-12
     assert abs(summary.upper_bound - 2.0) < 1e-12
-    assert summary.attains_bound()
+    assert is_optimum(og, 1)
 
 
 def test_skew_energy_g1():
-    summary = skew_energy(orient_family(G1))
+    og = orient_family(G1)
+    summary = skew_energy(og)
     assert abs(summary.skew_energy - 16.0) < 1e-8
     assert abs(summary.upper_bound - 16.0) < 1e-12
-    assert summary.attains_bound()
+    assert is_optimum(og, 4)
 
 
 def test_skew_energy_directed_path():
@@ -170,7 +172,47 @@ def test_skew_energy_directed_path():
     summary = skew_energy(og)
     assert abs(summary.skew_energy - 2.0 * math.sqrt(2.0)) < 1e-10
     assert abs(summary.upper_bound - 3.0 * math.sqrt(2.0)) < 1e-12
-    assert not summary.attains_bound()
+    assert not is_optimum(og, 2)
+
+
+def _exact_verdict(og: OrientedGraph) -> bool:
+    # E <= n*sqrt(d) with equality iff S^T S = dI (Adiga, Balakrishnan and
+    # So, 2010); with no arcs both sides are 0
+    d = og.base.max_degree()
+    return d == 0 or is_optimum(og, d)
+
+
+def _float_verdict(og: OrientedGraph) -> bool:
+    summary = skew_energy(og)
+    return abs(summary.skew_energy - summary.upper_bound) <= 1e-8
+
+
+def test_exact_and_float_verdicts_agree():
+    # every orientation of every labeled graph on 1..4 vertices: 3^C(n,2)
+    # per order, 760 in all
+    seen = {True: 0, False: 0}
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for code in range(3 ** len(pairs)):
+            arcs = []
+            for t, h in pairs:
+                code, digit = divmod(code, 3)
+                if digit:
+                    arcs.append((t, h) if digit == 1 else (h, t))
+            og = OrientedGraph(Graph(n, arcs), arcs)
+            verdict = _exact_verdict(og)
+            assert verdict == _float_verdict(og), (n, arcs)
+            seen[verdict] += 1
+    assert seen[True] + seen[False] == 760 and seen[True] > 0 and seen[False] > 0
+    # members, and each member with one arc reversed
+    for label in (K2, C4, K4, Q3, G1, G2, G3, Q4, gi(1), hj(2)):
+        og = orient_family(label)
+        assert _exact_verdict(og) and _float_verdict(og), label
+        for i in range(len(og.arcs)):
+            arcs = list(og.arcs)
+            arcs[i] = arcs[i][::-1]
+            flipped = OrientedGraph(og.base, arcs)
+            assert _exact_verdict(flipped) == _float_verdict(flipped), (label, i)
 
 
 def test_skew_energy_never_exceeds_bound():

@@ -191,6 +191,24 @@ def test_witness_is_first_optimum_class():
     assert optima == 13
 
 
+def test_complete_bipartite_optimum_iff_hadamard_order():
+    # K_{m,m} has an optimum orientation exactly when a Hadamard matrix of
+    # order m exists: m = 1, 2 or a multiple of 4 through 12. Two vertices
+    # on one side share m neighbours, the most counted terms any test reaches.
+    start = time.perf_counter()
+    for m in range(1, 13):
+        g = Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+        found = find_optimum_orientation(g, m)
+        assert (found is not None) == (m in (1, 2) or m % 4 == 0), m
+        if found is not None:
+            assert is_optimum(found, m), m
+        if m <= 4:
+            direct = next((og.arcs for og in switching_classes(g)
+                           if is_optimum(og, m)), None)
+            assert (None if found is None else found.arcs) == direct, m
+    assert time.perf_counter() - start < 1.0
+
+
 def test_search_scales_polynomially():
     start = time.perf_counter()
     for i in (5, 10, 20, 40):
@@ -518,6 +536,12 @@ def test_census_skips_bad_inputs():
     assert len(report.records) == 1
     reasons = [reason for _, reason in report.skipped]
     assert reasons == ["not 4-regular", "not connected", "empty graph"]
+    # classify and search reject each with the reason the census records
+    for g, reason in zip(inputs, reasons):
+        for decide in (classify, find_optimum_orientation):
+            with pytest.raises(ValueError) as info:
+                decide(g, 4)
+            assert reason in str(info.value), (decide.__name__, reason)
 
 
 def test_census_workers_validation_and_determinism():
