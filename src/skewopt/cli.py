@@ -3,8 +3,8 @@
 Subcommands: generate, verify, energy, search, classify, census.
 verify, energy, search and classify read the input file named by their one
 positional argument; census reads a graph6 corpus named the same way or
-enumerates up to --max-n, exactly one of the two. classify matches 4-regular
-graphs only and takes no --k.
+enumerates up to --max-n, exactly one of the two. Only census takes --k; the
+rest use the input's largest degree, and classify takes 4-regular graphs only.
 Exit codes: 0 success, 1 negative answer under --strict, 2 unreadable or
 malformed input, 3 invalid arguments (an empty graph, an arc list above
 ARCLIST_ORDER_LIMIT vertices, a generate label of order GRAPH6_ORDER_LIMIT
@@ -56,13 +56,11 @@ def _build_parser() -> _Parser:
 
     # each subcommand takes only the flags it reads, so a misplaced flag is a
     # usage error rather than silently ignored
-    def add(name, command, help_text, *, nargs=None, k=True):
+    def add(name, command, help_text, *, nargs=None):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(command=command)
         p.add_argument("path", nargs=nargs, help="input file")
         p.add_argument("--output", help="write result here instead of stdout")
-        if k:
-            p.add_argument("--k", type=int, choices=range(1, 9), default=4)
         p.add_argument("--strict", action="store_true",
                        help="exit 1 when the answer is negative")
         return p
@@ -75,14 +73,14 @@ def _build_parser() -> _Parser:
     g.add_argument("--oriented", action="store_true",
                    help="emit the canonical optimum orientation")
 
-    add("verify", _cmd_verify, "check an oriented graph (arc-list input)")
-    add("energy", _cmd_energy, "spectral summary of an oriented graph (arc-list input)")
-    add("search", _cmd_search, "exhaustive optimum-orientation search (graph6 input)")
-    add("classify", _cmd_classify, "family membership of a 4-regular graph (graph6 input)",
-        k=False)
+    add("verify", _cmd_verify, "check S^T S = kI, k the largest degree (arc-list input)")
+    add("energy", _cmd_energy, "skew energy and n*sqrt(largest degree) (arc-list input)")
+    add("search", _cmd_search, "optimum orientation at the largest degree (graph6 input)")
+    add("classify", _cmd_classify, "family membership of a 4-regular graph (graph6 input)")
 
     c = add("census", _cmd_census, "search + classify a whole corpus (graph6 input)",
             nargs="?")
+    c.add_argument("--k", type=int, choices=range(1, 9), default=4)
     c.add_argument("--max-n", type=int, choices=range(1, ENUMERATION_ORDER_CAP + 1),
                    dest="max_n", help="use the built-in enumerator up to this order")
     return parser
@@ -117,7 +115,9 @@ def _json_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2) + "\n").encode("ascii")
 
 
-def _graph_report(g: Graph, k: int) -> dict:
+def _graph_report(g: Graph) -> dict:
+    # S^T S has the degrees on its diagonal, so it can be kI only at this k
+    k = g.max_degree()
     return {
         "n": g.n,
         "k": k,
@@ -169,7 +169,7 @@ def _cmd_generate(args) -> int:
         if fmt == "arcs":
             _write(args, emit_arclist(og))
             return 0
-        report = _graph_report(og.base, label.regularity)
+        report = _graph_report(og.base)
         # orient_family raises unless the Gram is exactly kI
         report["gram_is_kI"] = True
         report.update(_spectral_fields(og))
@@ -181,7 +181,7 @@ def _cmd_generate(args) -> int:
     if fmt == "graph6":
         _write(args, emit_graph6(g) + b"\n")
         return 0
-    report = _graph_report(g, label.regularity)
+    report = _graph_report(g)
     report["classification"] = str(label) if label.regularity == 4 else None
     report["edges"] = g.edges
     _write(args, _json_bytes(report))
@@ -198,8 +198,8 @@ def _oriented_input(args) -> OrientedGraph:
 
 def _cmd_verify(args) -> int:
     og = _oriented_input(args)
-    report = _graph_report(og.base, args.k)
-    report["gram_is_kI"] = is_optimum(og, args.k)
+    report = _graph_report(og.base)
+    report["gram_is_kI"] = is_optimum(og, report["k"])
     report.update(_spectral_fields(og))
     report.update(_classification_field(og.base))
     report["violations"] = neighbor_parity_report(og.base).violations
@@ -210,18 +210,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_energy(args) -> int:
     og = _oriented_input(args)
-    report = _graph_report(og.base, args.k)
+    report = _graph_report(og.base)
     report.update(_spectral_fields(og))
     _write(args, _json_bytes(report))
-    # E = n*sqrt(d) exactly when S^T S = dI; with no arcs both are 0
-    d = og.base.max_degree()
-    return 1 if args.strict and d and not is_optimum(og, d) else 0
+    # E = n*sqrt(k) exactly when S^T S = kI; with no arcs both are 0
+    return 1 if args.strict and not is_optimum(og, report["k"]) else 0
 
 
 def _cmd_search(args) -> int:
     g = _single_graph(_read(args.path))
-    witness = find_optimum_orientation(g, args.k)
-    report = _graph_report(g, args.k)
+    report = _graph_report(g)
+    witness = find_optimum_orientation(g, report["k"])
     report.update(_classification_field(g))
     if witness is None:
         report["violations"] = neighbor_parity_report(g).violations
@@ -240,7 +239,7 @@ def _cmd_search(args) -> int:
 def _cmd_classify(args) -> int:
     g = _single_graph(_read(args.path))
     result = classify(g)
-    report = _graph_report(g, 4)
+    report = _graph_report(g)
     report["classification"] = None if result.label is None else str(result.label)
     _write(args, _json_bytes(report))
     return 1 if args.strict and result.label is None else 0

@@ -38,10 +38,11 @@ def is_optimum(og: OrientedGraph, k: int) -> bool:
 
     Decided from the arcs in O(n k^2) integer steps, without forming S: the
     diagonal entry (u, u) of S^T S is the degree of u, and the off-diagonal
-    entry (u, v) sums S[w, u] * S[w, v] over the common neighbours w.
+    entry (u, v) sums S[w, u] * S[w, v] over the common neighbours w.  At
+    k = 0 this holds exactly when there are no arcs.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     rows: list[dict[int, int]] = [{} for _ in range(og.base.n)]
     for t, h in og.arcs:
         rows[t][h] = 1

@@ -574,6 +574,21 @@ def switch(og, vertices):
     ])
 
 
+def small_orientations(max_n: int):
+    """Every orientation of every labeled graph on 1..max_n vertices: each
+    vertex pair is absent, u -> v or v -> u, so 3^C(n,2) per order (760 in
+    all for max_n = 4)."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for code in range(3 ** len(pairs)):
+            arcs = []
+            for t, h in pairs:
+                code, digit = divmod(code, 3)
+                if digit:
+                    arcs.append((t, h) if digit == 1 else (h, t))
+            yield OrientedGraph(Graph(n, arcs), arcs)
+
+
 def is_isomorphism(g, h, mapping) -> bool:
     """True iff mapping is a bijection of 0..n-1 that carries the edge set
     of g onto exactly the edge set of h."""

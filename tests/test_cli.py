@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewopt
-from oracles import relabel
+from oracles import relabel, small_orientations
 from skewopt import (
-    G1, G2, Graph, OrientedGraph, build_family, emit_arclist, emit_graph6, hj,
-    is_optimum, orient_family,
+    C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family,
+    emit_arclist, emit_graph6, gi, hj, is_optimum, orient_family,
 )
 from skewopt.cli import ARCLIST_ORDER_LIMIT, GRAPH6_BODY_LIMIT, run
 
@@ -90,23 +90,24 @@ def test_verify_member(tmp_path, capsysbinary):
 def test_verify_strict_failure(tmp_path, capsysbinary):
     path = tmp_path / "ring.arcs"
     path.write_bytes(b"4 4\n0 1\n1 2\n2 3\n3 0\n")
-    code, report, _ = run_json(["verify", str(path), "--k", "2", "--strict"],
-                               capsysbinary)
+    code, report, _ = run_json(["verify", str(path), "--strict"], capsysbinary)
     assert code == 1
+    assert report["k"] == 2 and report["is_regular"] is True
     assert report["optimum"] is False and report["violations"] == []
-    assert run(["verify", str(path), "--k", "2"]) == 0
+    assert run(["verify", str(path)]) == 0
     capsysbinary.readouterr()
 
 
 def test_energy_report(tmp_path, capsysbinary):
     path = tmp_path / "path.arcs"
     path.write_bytes(b"3 2\n0 1\n1 2\n")
-    code, report, out = run_json(["energy", str(path), "--k", "2"], capsysbinary)
+    code, report, out = run_json(["energy", str(path)], capsysbinary)
     assert code == 0
+    assert report["k"] == 2 and report["is_regular"] is False
     assert report["skew_energy"] == 2.82842712475
     assert report["upper_bound"] == 4.24264068712
     assert b'"skew_energy": 2.82842712475' in out
-    assert run(["energy", str(path), "--k", "2", "--strict"]) == 1
+    assert run(["energy", str(path), "--strict"]) == 1
     capsysbinary.readouterr()
 
 
@@ -125,6 +126,39 @@ def test_energy_strict_asks_the_gram_test(tmp_path, capsysbinary):
     for path, want in ((bare, 0), (member, 0), (flipped, 1)):
         assert run(["energy", str(path), "--strict"]) == want, path.name
     capsysbinary.readouterr()
+
+
+def test_members_answer_at_their_own_degree(tmp_path, capsysbinary):
+    # S^T S has the degrees on its diagonal, so verify, energy and search
+    # judge each input at its largest degree, and every member of every
+    # degree passes with no flag
+    for label in (K2, C4, K4, Q3, G1, G2, G3, Q4, gi(1), hj(1)):
+        og = orient_family(label)
+        arcs = tmp_path / "member.arcs"
+        arcs.write_bytes(emit_arclist(og))
+        code, report, _ = run_json(["verify", str(arcs), "--strict"], capsysbinary)
+        assert code == 0, label
+        assert report["k"] == label.regularity and report["optimum"] is True, label
+        assert run(["energy", str(arcs), "--strict"]) == 0, label
+        capsysbinary.readouterr()
+        g6 = write_graph6(tmp_path, "member.g6", og.base)
+        code, report, _ = run_json(["search", g6, "--strict"], capsysbinary)
+        assert code == 0 and report["k"] == label.regularity, label
+        witness = [tuple(a) for a in report["optimum_orientation"]]
+        assert is_optimum(OrientedGraph(og.base, witness), label.regularity), label
+
+
+def test_verify_and_energy_strict_agree(tmp_path, capsysbinary):
+    path = tmp_path / "o.arcs"
+    seen = {True: 0, False: 0}
+    for og in small_orientations(4):
+        path.write_bytes(emit_arclist(og))
+        _, report, _ = run_json(["verify", str(path)], capsysbinary)
+        energy = run(["energy", str(path), "--strict"])
+        capsysbinary.readouterr()
+        assert report["optimum"] == (energy == 0), og.arcs
+        seen[report["optimum"]] += 1
+    assert seen[True] + seen[False] == 760 and seen[True] > 0 and seen[False] > 0
 
 
 def test_energy_of_singular_star(tmp_path, capsysbinary):
@@ -437,8 +471,8 @@ def test_census_above_the_order_cap_exits_three_at_once(capsysbinary):
 def test_flag_validation(tmp_path):
     path = tmp_path / "x.arcs"
     path.write_bytes(b"2 1\n0 1\n")
-    assert run(["verify", str(path), "--k", "9"]) == 3
-    assert run(["verify", str(path), "--k", "0"]) == 3
+    assert run(["census", "--max-n", "4", "--k", "9"]) == 3
+    assert run(["census", "--max-n", "4", "--k", "0"]) == 3
     assert run(["census", "--max-n", "4", "--workers", "0"]) == 3
     assert run(["verify", str(path), "--input", str(path)]) == 3
     assert run(["verify"]) == 3
@@ -452,17 +486,18 @@ def test_flags_that_do_nothing_are_rejected(tmp_path, capsysbinary):
     assert run(["classify", g2_path, "--k", "5"]) == 3
     assert run(["generate", "--family", "g2", "--workers", "7"]) == 3
     for sub in ("search", "classify", "verify", "energy"):
+        assert run([sub, g2_path, "--k", "4"]) == 3
         assert run([sub, g2_path, "--workers", "2"]) == 3
         assert run([sub, g2_path, "--format", "json"]) == 3
     assert run(["census", "--max-n", "5", "--format", "arcs"]) == 3
     assert run(["census", "--max-n", "4", "--workers", "2"]) == 3
     for flag in (["--k", "7"], ["--strict"], ["--input", g2_path]):
         assert run(["generate", "--family", "g2", *flag]) == 3
-    # inputs are positional only, and classify matches 4-regular graphs only
+    # inputs are positional only, only census takes --k, and classify matches
+    # 4-regular graphs only
     for sub in ("search", "classify", "verify", "energy"):
         assert run([sub, "--input", g2_path]) == 3
     assert run(["census", "--input", g2_path]) == 3
-    assert run(["classify", g2_path, "--k", "4"]) == 3
     assert capsysbinary.readouterr().out == b""
     code, report, _ = run_json(["classify", g2_path], capsysbinary)
     assert code == 0 and report["classification"] == "g2"
@@ -504,8 +539,17 @@ def test_io_error_codes(tmp_path):
     assert run(["verify", str(bad_arcs)]) == 2
 
 
-def test_semantic_errors_exit_three(tmp_path):
+def test_semantic_errors_exit_three(tmp_path, capsysbinary):
     k4 = write_graph6(tmp_path, "k4.g6",
                       Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
     assert run(["classify", str(k4)]) == 3
-    assert run(["search", str(k4)]) == 3
+    # search takes k from the largest degree: an irregular or disconnected
+    # graph has no optimum orientation to look for
+    path = write_graph6(tmp_path, "path.g6", Graph(3, [(0, 1), (1, 2)]))
+    k5 = list(combinations(range(5), 2))
+    two_k5 = write_graph6(tmp_path, "two-k5.g6",
+                          Graph(10, k5 + [(u + 5, v + 5) for u, v in k5]))
+    for g6, why in ((path, b"not 2-regular"), (two_k5, b"not connected")):
+        assert run(["search", g6]) == 3
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"" and why in captured.err

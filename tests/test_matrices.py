@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import switch, switching_classes
+from oracles import small_orientations, switch, switching_classes
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family, gi, hj,
     is_optimum, orient_family, skew_adjacency, skew_energy,
@@ -78,8 +78,11 @@ def test_is_optimum_examples():
         [(0, 1), (2, 1), (2, 3), (3, 0)],
     )
     assert is_optimum(reversed_one, 2)
+    # S^T S = 0I exactly when there are no arcs
+    assert is_optimum(k2, 0) is False
+    assert is_optimum(OrientedGraph(Graph(3), []), 0) is True
     with pytest.raises(ValueError):
-        is_optimum(k2, 0)
+        is_optimum(k2, -1)
 
 
 def test_is_optimum_matches_matrix_square():
@@ -177,9 +180,8 @@ def test_skew_energy_directed_path():
 
 def _exact_verdict(og: OrientedGraph) -> bool:
     # E <= n*sqrt(d) with equality iff S^T S = dI (Adiga, Balakrishnan and
-    # So, 2010); with no arcs both sides are 0
-    d = og.base.max_degree()
-    return d == 0 or is_optimum(og, d)
+    # So, 2010); with no arcs both sides are 0, and so is S^T S
+    return is_optimum(og, og.base.max_degree())
 
 
 def _float_verdict(og: OrientedGraph) -> bool:
@@ -188,21 +190,11 @@ def _float_verdict(og: OrientedGraph) -> bool:
 
 
 def test_exact_and_float_verdicts_agree():
-    # every orientation of every labeled graph on 1..4 vertices: 3^C(n,2)
-    # per order, 760 in all
     seen = {True: 0, False: 0}
-    for n in range(1, 5):
-        pairs = list(combinations(range(n), 2))
-        for code in range(3 ** len(pairs)):
-            arcs = []
-            for t, h in pairs:
-                code, digit = divmod(code, 3)
-                if digit:
-                    arcs.append((t, h) if digit == 1 else (h, t))
-            og = OrientedGraph(Graph(n, arcs), arcs)
-            verdict = _exact_verdict(og)
-            assert verdict == _float_verdict(og), (n, arcs)
-            seen[verdict] += 1
+    for og in small_orientations(4):
+        verdict = _exact_verdict(og)
+        assert verdict == _float_verdict(og), og.arcs
+        seen[verdict] += 1
     assert seen[True] + seen[False] == 760 and seen[True] > 0 and seen[False] > 0
     # members, and each member with one arc reversed
     for label in (K2, C4, K4, Q3, G1, G2, G3, Q4, gi(1), hj(2)):
