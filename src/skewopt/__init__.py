@@ -1,6 +1,7 @@
 """Oriented graphs whose skew-adjacency Gram matrix is a multiple of the
 identity: constructions, the exact Gram test and the parity filter, the
-GF(2) search and census, and the classification of the 4-regular case."""
+GF(2) search and census, and the classification of the regular graphs of
+degree 1..4."""
 
 from __future__ import annotations
 

@@ -1,11 +1,12 @@
 """Membership decision for the family of optimum-orientable k-regular graphs,
-k = 1..4.
+k = 1..4, with k read off the input as its largest degree.
 
-A connected 4-regular graph admits an optimum orientation exactly when it is
-isomorphic to one of the known members, so classification reduces to
-isomorphism tests against the candidates whose order matches
-(`families.candidate_members`, which also holds the members for k <= 3);
-there is no catalogue for k >= 5.
+A connected k-regular graph of a catalogued degree
+(`families.CATALOGUED_DEGREES`, 1..4) admits an optimum orientation exactly
+when it is isomorphic to one of the known members, so classification
+reduces to isomorphism tests against the candidates whose order and degree
+match (`families.candidate_members`); there is no catalogue for k = 0 or
+k >= 5.
 
 The isomorphism engine reads a graph's `adj` (one int bitset per vertex) and
 `around` (sorted neighbour tuples), built once by `Graph`; the enumerator in
@@ -232,8 +233,11 @@ def isomorphic(g: Graph, h: Graph):
     return _onto(g, _certificate(h))
 
 
-def classify(g: Graph, k: int = 4) -> Classification:
-    """Match a connected k-regular graph (k = 1..4) against the known members."""
+def classify(g: Graph) -> Classification:
+    """Match a connected k-regular graph against the known members of degree
+    k, its largest degree; ValueError for any other input, and for a degree
+    with no catalogue."""
+    k = g.max_degree()
     defect = g.defect(k)
     if defect is not None:
         raise ValueError(f"cannot classify: {defect}")

@@ -4,7 +4,8 @@ Subcommands: generate, verify, energy, search, classify, census.
 verify, energy, search and classify read the input file named by their one
 positional argument; census reads a graph6 corpus named the same way or
 enumerates up to --max-n, exactly one of the two. Only census takes --k; the
-rest use the input's largest degree, and classify takes 4-regular graphs only.
+rest use the input's largest degree, and classify answers on a connected
+regular graph of a catalogued degree (1..4).
 Exit codes: 0 success, 1 negative answer under --strict, 2 unreadable or
 malformed input, 3 invalid arguments (an empty graph, an arc list above
 ARCLIST_ORDER_LIMIT vertices, a generate label of order GRAPH6_ORDER_LIMIT
@@ -24,7 +25,9 @@ import json
 import sys
 
 from .classify import classify
-from .families import FamilyLabel, build_family, family_order, orient_family
+from .families import (
+    CATALOGUED_DEGREES, FamilyLabel, build_family, family_order, orient_family,
+)
 from .formats import (
     GRAPH6_ORDER_LIMIT, FormatError, emit_arclist, emit_graph6, parse_arclist,
     parse_graph6_lines,
@@ -76,7 +79,8 @@ def _build_parser() -> _Parser:
     add("verify", _cmd_verify, "check S^T S = kI, k the largest degree (arc-list input)")
     add("energy", _cmd_energy, "skew energy and n*sqrt(largest degree) (arc-list input)")
     add("search", _cmd_search, "optimum orientation at the largest degree (graph6 input)")
-    add("classify", _cmd_classify, "family membership of a 4-regular graph (graph6 input)")
+    add("classify", _cmd_classify,
+        "family membership of a regular graph of degree 1..4 (graph6 input)")
 
     c = add("census", _cmd_census, "search + classify a whole corpus (graph6 input)",
             nargs="?")
@@ -135,7 +139,8 @@ def _spectral_fields(og: OrientedGraph) -> dict:
 
 
 def _classification_field(g: Graph) -> dict:
-    if g.defect(4) is None:
+    k = g.max_degree()
+    if k in CATALOGUED_DEGREES and g.defect(k) is None:
         result = classify(g)
         return {"classification": None if result.label is None else str(result.label)}
     return {}
@@ -220,7 +225,7 @@ def _cmd_energy(args) -> int:
 def _cmd_search(args) -> int:
     g = _single_graph(_read(args.path))
     report = _graph_report(g)
-    witness = find_optimum_orientation(g, report["k"])
+    witness = find_optimum_orientation(g)
     report.update(_classification_field(g))
     if witness is None:
         report["violations"] = neighbor_parity_report(g).violations

@@ -103,6 +103,9 @@ _FIXED = {
     "k4": (4, 3, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1))),
     "q3": (8, 3, _Q3_ARCS),
 }
+# the degrees whose optimum-orientable graphs the catalogue holds in full;
+# there is no catalogue for the others
+CATALOGUED_DEGREES = frozenset(degree for _, degree, _ in _FIXED.values())
 _PARAM_KINDS = ("gi", "hj")
 
 # kind(n) or kindn, nothing between; ASCII only, as \d would also take the
@@ -122,8 +125,9 @@ class FamilyLabel:
             if self.param is not None:
                 raise ValueError(f"label {self.kind!r} takes no parameter")
         elif self.kind in _PARAM_KINDS:
-            if self.param is None or self.param < 1:
-                raise ValueError(f"label {self.kind!r} needs a parameter >= 1")
+            # type, not isinstance: True is an int, and would print as hj(True)
+            if type(self.param) is not int or self.param < 1:
+                raise ValueError(f"label {self.kind!r} needs an integer parameter >= 1")
         else:
             raise ValueError(f"unknown family label kind {self.kind!r}")
 
@@ -179,7 +183,7 @@ def family_order(label: FamilyLabel) -> int:
 def candidate_members(n: int, k: int = 4) -> list[FamilyLabel]:
     """All k-regular family labels whose member has exactly n vertices:
     the fixed members in table order, then gi, then hj."""
-    if k not in {degree for _, degree, _ in _FIXED.values()}:
+    if k not in CATALOGUED_DEGREES:
         raise ValueError(f"no catalogue of {k}-regular members")
     labels = [FamilyLabel(kind) for kind, (order, degree, _) in _FIXED.items()
               if (order, degree) == (n, k)]

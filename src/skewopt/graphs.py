@@ -32,9 +32,9 @@ class Graph:
     __slots__ = ("n", "edges", "around", "_bits", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        self.n = int(n)
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be an integer >= 0, got {n!r}")
+        self.n = n
         self.edges = tuple(sorted({_normalize_edge(u, v, self.n) for u, v in edges}))
         # sorted edges: each vertex meets its neighbours in ascending order
         around: list[list[int]] = [[] for _ in range(self.n)]

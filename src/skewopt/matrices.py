@@ -39,10 +39,13 @@ def is_optimum(og: OrientedGraph, k: int) -> bool:
     Decided from the arcs in O(n k^2) integer steps, without forming S: the
     diagonal entry (u, u) of S^T S is the degree of u, and the off-diagonal
     entry (u, v) sums S[w, u] * S[w, v] over the common neighbours w.  At
-    k = 0 this holds exactly when there are no arcs.
+    k = 0 this holds exactly when there are no arcs.  An empty graph is an
+    argument error, as every statement about its Gram holds vacuously.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if og.base.n == 0:
+        raise ValueError("cannot judge an empty graph")
     rows: list[dict[int, int]] = [{} for _ in range(og.base.n)]
     for t, h in og.arcs:
         rows[t][h] = 1

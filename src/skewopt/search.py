@@ -11,10 +11,11 @@ and c, so their parity is one linear equation over GF(2), and for c >= 2 the
 split is also counted. Elimination over Python-int bitsets solves the
 equations; a descent over the remaining free bits, highest first, checks the
 counts and returns the smallest assignment, the same witness as trying the
-assignments in increasing order. The census pairs that search with the
-family classifier and flags any graph where the two disagree; its built-in
-enumerator rejects isomorphic search states with the classifier's first
-refinement round and matcher.
+assignments in increasing order. Search and classifier both read k off
+the graph, as its largest degree: S^T S has the degrees on its diagonal, so
+it can be kI at no other k. The census pairs the two and flags any graph
+where they disagree; its built-in enumerator rejects isomorphic search
+states with the classifier's first refinement round and matcher.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 
 from .classify import _rounds, classify, match, match_plan
+from .families import CATALOGUED_DEGREES
 from .formats import emit_graph6
 from .graphs import Graph, OrientedGraph
 from .matrices import is_optimum
@@ -173,14 +175,15 @@ def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
     return x & variables
 
 
-def find_optimum_orientation(g: Graph, k: int):
+def find_optimum_orientation(g: Graph):
     """The switching-class representative with the smallest assignment whose
-    Gram is exactly k*I, or None.
+    Gram is exactly k*I, k the largest degree, or None.
 
-    Empty, non-k-regular or disconnected inputs are argument errors; graphs
+    Empty, irregular or disconnected inputs are argument errors; graphs
     failing the common-neighborhood parity filter return None without
     elimination.
     """
+    k = g.max_degree()
     defect = g.defect(k)
     if defect is not None:
         raise ValueError(f"cannot search: {defect}")
@@ -517,27 +520,29 @@ class CensusReport:
         return tuple((n, c[0], c[1]) for n, c in sorted(counts.items()))
 
 
-def theorem_crosscheck(g: Graph, k: int = 4) -> CensusRecord:
-    """Classify a connected k-regular graph against the catalogue and search
+def theorem_crosscheck(g: Graph) -> CensusRecord:
+    """Classify a connected regular graph against the catalogue and search
     it for an optimum orientation by GF(2) elimination; the record is a
     violation when the graph is optimum-orientable but not a catalogue
-    member, or the other way round. For k >= 5 there is no catalogue: the
-    classification is None and there is no violation."""
-    label = classify(g, k).label if k <= 4 else None
-    witness = find_optimum_orientation(g, k)
+    member, or the other way round. For a degree with no catalogue (0 or
+    >= 5) the classification is None and there is no violation."""
+    catalogued = g.max_degree() in CATALOGUED_DEGREES
+    label = classify(g).label if catalogued else None
+    witness = find_optimum_orientation(g)
     return CensusRecord(
         graph6=emit_graph6(g).decode("ascii"),
         n=g.n,
         has_optimum=witness is not None,
         classification=None if label is None else str(label),
         witness=None if witness is None else witness.arcs,
-        violation=k <= 4 and (label is not None) != (witness is not None),
+        violation=catalogued and (label is not None) != (witness is not None),
     )
 
 
 def census(inputs, k: int, *, workers: int = 1) -> CensusReport:
     """Search + classify every input graph; disagreements become violation
-    records, malformed inputs become skip diagnostics instead of errors."""
+    records, inputs that are no connected k-regular graph become skip
+    diagnostics instead of errors."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     graphs = []
@@ -549,8 +554,8 @@ def census(inputs, k: int, *, workers: int = 1) -> CensusReport:
         else:
             skipped.append((emit_graph6(g).decode("ascii"), defect))
     if workers == 1 or len(graphs) < 2:
-        records = [theorem_crosscheck(g, k) for g in graphs]
+        records = [theorem_crosscheck(g) for g in graphs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(theorem_crosscheck, graphs, repeat(k), chunksize=4))
+            records = list(pool.map(theorem_crosscheck, graphs, chunksize=4))
     return CensusReport(tuple(records), tuple(skipped))

@@ -78,15 +78,14 @@ def test_certificate_is_adjacency_preserving():
     # and the members of degree below 4, each classified twice: once with
     # the member certificates cleared and once from the cache
     rng = random.Random(23)
-    inputs = [(g, 4) for n in range(1, 11) for g in enumerate_connected_k_regular(n, 4)]
-    inputs += [(shuffled(build_family(label), rng), 4) for label in (
-        [G1, G2, G3, Q4] + [gi(i) for i in range(1, 14)] + [hj(j) for j in range(1, 15)])]
-    inputs += [(shuffled(build_family(label), rng), label.regularity)
-               for label in (K2, C4, K4, Q3)]
+    inputs = [g for n in range(1, 11) for g in enumerate_connected_k_regular(n, 4)]
+    inputs += [shuffled(build_family(label), rng) for label in (
+        [G1, G2, G3, Q4] + [gi(i) for i in range(1, 14)] + [hj(j) for j in range(1, 15)]
+        + [K2, C4, K4, Q3])]
     members = 0
-    for g, k in inputs:
+    for g in inputs:
         classify_module._member_certificate.cache_clear()
-        results = [classify(g, k), classify(g, k)]
+        results = [classify(g), classify(g)]
         # the second call reads every certificate the first one built
         info = classify_module._member_certificate.cache_info()
         assert info.hits == info.misses
@@ -132,13 +131,13 @@ def test_small_degree_members_classify():
     assert candidate_members(8, 3) == [Q3]
     assert candidate_members(6, 3) == []
     rng = random.Random(37)
-    for label, k in ((K2, 1), (C4, 2), (K4, 3), (Q3, 3)):
-        assert classify(shuffled(build_family(label), rng), k).label == label
-    assert classify(Graph(5, [(i, (i + 1) % 5) for i in range(5)]), 2).label is None
+    for label in (K2, C4, K4, Q3):
+        assert classify(shuffled(build_family(label), rng)).label == label
+    assert classify(Graph(5, [(i, (i + 1) % 5) for i in range(5)])).label is None
     with pytest.raises(ValueError):
         candidate_members(8, 7)
     with pytest.raises(ValueError):
-        classify(complete_graph(8), 7)
+        classify(complete_graph(8))
 
 
 def test_same_order_members_are_distinct():
@@ -216,16 +215,21 @@ def test_near_misses_are_rejected_in_bounded_time():
 
 
 def test_classify_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        classify(complete_graph(4))
+    # k is the largest degree, so K4 is judged as a cubic graph and answers
+    assert classify(complete_graph(4)).label == K4
     edges = list(combinations(range(5), 2))
     edges += [(u + 5, v + 5) for u, v in combinations(range(5), 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not connected"):
         classify(Graph(10, edges))
+    with pytest.raises(ValueError, match="not 2-regular"):
+        classify(Graph(3, [(0, 1), (1, 2)]))
+    # there is no catalogue of 0- or 5-regular members
+    for g in (Graph(1, []), complete_graph(6)):
+        with pytest.raises(ValueError, match="no catalogue"):
+            classify(g)
     # the empty graph is vacuously regular and connected; that is no answer
-    for k in range(1, 5):
-        with pytest.raises(ValueError, match="empty"):
-            classify(Graph(0, []), k)
+    with pytest.raises(ValueError, match="empty"):
+        classify(Graph(0, []))
 
 
 def test_classify_nonmember():
@@ -242,6 +246,12 @@ def test_theorem_crosscheck_member_and_nonmember():
     assert not record.violation
     assert record.classification is None and not record.has_optimum
     assert record.witness is None
+    # k is read off the graph, so the paper's cubic answer, K4 and Q3, comes
+    # with no k given, as do K2 and C4
+    for label in (K2, C4, K4, Q3):
+        record = theorem_crosscheck(build_family(label))
+        assert record.classification == str(label), label
+        assert record.has_optimum and not record.violation, label
 
 
 def test_label_ordering_is_stable():

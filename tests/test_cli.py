@@ -129,9 +129,9 @@ def test_energy_strict_asks_the_gram_test(tmp_path, capsysbinary):
 
 
 def test_members_answer_at_their_own_degree(tmp_path, capsysbinary):
-    # S^T S has the degrees on its diagonal, so verify, energy and search
-    # judge each input at its largest degree, and every member of every
-    # degree passes with no flag
+    # S^T S has the degrees on its diagonal, so verify, energy, search and
+    # classify judge each input at its largest degree, and every member of
+    # every degree passes with no flag, the paper's cubic K4 and Q3 among them
     for label in (K2, C4, K4, Q3, G1, G2, G3, Q4, gi(1), hj(1)):
         og = orient_family(label)
         arcs = tmp_path / "member.arcs"
@@ -139,13 +139,21 @@ def test_members_answer_at_their_own_degree(tmp_path, capsysbinary):
         code, report, _ = run_json(["verify", str(arcs), "--strict"], capsysbinary)
         assert code == 0, label
         assert report["k"] == label.regularity and report["optimum"] is True, label
+        # the classification field takes the same place at every degree
+        assert list(report) == [
+            "n", "k", "is_regular", "is_connected", "gram_is_kI", "skew_energy",
+            "upper_bound", "classification", "violations", "optimum"], label
+        assert report["classification"] == str(label), label
         assert run(["energy", str(arcs), "--strict"]) == 0, label
         capsysbinary.readouterr()
         g6 = write_graph6(tmp_path, "member.g6", og.base)
         code, report, _ = run_json(["search", g6, "--strict"], capsysbinary)
         assert code == 0 and report["k"] == label.regularity, label
+        assert report["classification"] == str(label), label
         witness = [tuple(a) for a in report["optimum_orientation"]]
         assert is_optimum(OrientedGraph(og.base, witness), label.regularity), label
+        code, report, _ = run_json(["classify", g6, "--strict"], capsysbinary)
+        assert code == 0 and report["classification"] == str(label), label
 
 
 def test_verify_and_energy_strict_agree(tmp_path, capsysbinary):
@@ -540,12 +548,20 @@ def test_io_error_codes(tmp_path):
 
 
 def test_semantic_errors_exit_three(tmp_path, capsysbinary):
+    # classify takes k from the largest degree, so K4 answers as a cubic
+    # graph; a path is not 2-regular, and there is no 5-regular catalogue
     k4 = write_graph6(tmp_path, "k4.g6",
                       Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
-    assert run(["classify", str(k4)]) == 3
-    # search takes k from the largest degree: an irregular or disconnected
-    # graph has no optimum orientation to look for
+    code, report, _ = run_json(["classify", k4], capsysbinary)
+    assert code == 0 and report["classification"] == "k4"
     path = write_graph6(tmp_path, "path.g6", Graph(3, [(0, 1), (1, 2)]))
+    k6 = write_graph6(tmp_path, "k6.g6", Graph(6, list(combinations(range(6), 2))))
+    for g6, why in ((path, b"not 2-regular"), (k6, b"5-regular")):
+        assert run(["classify", g6]) == 3
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"" and why in captured.err
+    # search takes k from the largest degree too: an irregular or
+    # disconnected graph has no optimum orientation to look for
     k5 = list(combinations(range(5), 2))
     two_k5 = write_graph6(tmp_path, "two-k5.g6",
                           Graph(10, k5 + [(u + 5, v + 5) for u, v in k5]))

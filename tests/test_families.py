@@ -89,6 +89,15 @@ def test_label_parse_and_format():
         FamilyLabel("gi")
 
 
+def test_label_parameter_is_an_integer():
+    # gi(2.5) would have order 16.0, and hj(True) print as hj(True) yet
+    # equal hj(1)
+    for param in (2.5, 1.0, True, "2"):
+        for kind in ("gi", "hj"):
+            with pytest.raises(ValueError, match="integer"):
+                FamilyLabel(kind, param)
+
+
 _LABELS = st.one_of(
     st.sampled_from(["g1", "g2", "g3", "q4", "k2", "c4", "k4", "q3"]).map(FamilyLabel),
     st.builds(FamilyLabel, st.sampled_from(["gi", "hj"]), st.integers(1, 10**30)),

@@ -41,6 +41,13 @@ def test_build_rejects_out_of_range():
         Graph(2, [(-1, 0)])
 
 
+def test_build_rejects_non_integer_orders():
+    # 2.7 would build 2 vertices, and True would stand for 1
+    for n in (2.7, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            Graph(n, [(0, 1)])
+
+
 def test_k4_structure():
     g = Graph(4, combinations(range(4), 2))
     assert g.is_regular(3)

@@ -85,6 +85,14 @@ def test_is_optimum_examples():
         is_optimum(k2, -1)
 
 
+def test_is_optimum_rejects_the_empty_graph():
+    # every statement about the Gram of an empty graph holds vacuously
+    empty = OrientedGraph(Graph(0), [])
+    for k in range(5):
+        with pytest.raises(ValueError, match="empty graph"):
+            is_optimum(empty, k)
+
+
 def test_is_optimum_matches_matrix_square():
     rng = random.Random(41)
     members = [orient_family(G1), orient_family(G2)]

@@ -129,21 +129,21 @@ def test_switching_classes_are_complete_and_distinct():
 
 
 def test_find_optimum_matches_fixed_orientations():
-    found = find_optimum_orientation(build_family(K4), 3)
+    found = find_optimum_orientation(build_family(K4))
     assert found is not None and found.arcs == orient_family(K4).arcs
-    found = find_optimum_orientation(build_family(C4), 2)
+    found = find_optimum_orientation(build_family(C4))
     assert found is not None and found.arcs == orient_family(C4).arcs
 
 
 def test_find_optimum_negative_cases():
-    assert find_optimum_orientation(complete_graph(5), 4) is None
-    assert find_optimum_orientation(cycle_graph(6), 2) is None
+    assert find_optimum_orientation(complete_graph(5)) is None
+    assert find_optimum_orientation(cycle_graph(6)) is None
     with pytest.raises(ValueError):
-        find_optimum_orientation(Graph(3, [(0, 1), (1, 2)]), 2)
+        find_optimum_orientation(Graph(3, [(0, 1), (1, 2)]))
     with pytest.raises(ValueError):
-        find_optimum_orientation(two_cliques(5), 4)
+        find_optimum_orientation(two_cliques(5))
     with pytest.raises(ValueError, match="empty"):
-        find_optimum_orientation(Graph(0, []), 4)
+        find_optimum_orientation(Graph(0, []))
 
 
 def test_find_optimum_exhausts_past_parity_filter():
@@ -151,7 +151,7 @@ def test_find_optimum_exhausts_past_parity_filter():
     # so the search must reject it after the parity filter
     k6 = complete_graph(6)
     assert neighbor_parity_report(k6).passed
-    assert find_optimum_orientation(k6, 5) is None
+    assert find_optimum_orientation(k6) is None
 
 
 def test_search_agrees_with_exhaustive_orientation_scan():
@@ -162,7 +162,7 @@ def test_search_agrees_with_exhaustive_orientation_scan():
     ]
     cases += [(g, 4) for g in enumerate_connected_k_regular(7, 4)]
     for g, k in cases:
-        found = find_optimum_orientation(g, k)
+        found = find_optimum_orientation(g)
         assert (found is not None) == brute_force_has_optimum(g, k)
         if found is not None:
             assert is_optimum(found, k)
@@ -185,7 +185,7 @@ def test_witness_is_first_optimum_class():
             direct = next((og.arcs for og in switching_classes(g)
                            if is_optimum(og, k)), None)
             assert direct == expected
-        found = find_optimum_orientation(g, k)
+        found = find_optimum_orientation(g)
         assert (None if found is None else found.arcs) == expected, emit_graph6(g)
         optima += expected is not None
     assert optima == 13
@@ -198,7 +198,7 @@ def test_complete_bipartite_optimum_iff_hadamard_order():
     start = time.perf_counter()
     for m in range(1, 13):
         g = Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
-        found = find_optimum_orientation(g, m)
+        found = find_optimum_orientation(g)
         assert (found is not None) == (m in (1, 2) or m % 4 == 0), m
         if found is not None:
             assert is_optimum(found, m), m
@@ -213,7 +213,7 @@ def test_search_scales_polynomially():
     start = time.perf_counter()
     for i in (5, 10, 20, 40):
         for label in (gi(i), hj(i)):
-            found = find_optimum_orientation(build_family(label), 4)
+            found = find_optimum_orientation(build_family(label))
             assert found is not None and is_optimum(found, 4), label
     assert time.perf_counter() - start < 3.0
 
@@ -228,7 +228,7 @@ def test_search_survives_relabeling_and_switching():
         moved = switch(relabel_oriented(og, perm),
                        [v for v in range(n) if rng.random() < 0.5])
         assert is_optimum(moved, 4)
-        found = find_optimum_orientation(moved.base, 4)
+        found = find_optimum_orientation(moved.base)
         assert found is not None and found.base == moved.base
         assert is_optimum(found, 4)
 
@@ -244,7 +244,7 @@ def test_answers_survive_relabeling_and_switching_to_sixty(label, data):
                    data.draw(st.sets(st.integers(0, n - 1))))
     assert is_optimum(moved, 4)
     g = moved.base
-    found = find_optimum_orientation(g, 4)
+    found = find_optimum_orientation(g)
     assert found is not None and found.base == g and is_optimum(found, 4)
     assert classify(g).label == label
     # a 2-switch, ab and cd to ac and bd, keeps the graph 4-regular
@@ -521,13 +521,15 @@ def test_census_small_degrees():
 
 
 def test_census_past_the_catalogue_records_no_violation():
-    # K8 has an optimum orientation at k=7 and K6 none at k=5; there is no
-    # catalogue of k-regular members for k >= 5
-    for g, k, found in ((complete_graph(8), 7, True), (complete_graph(6), 5, False)):
+    # K8 has an optimum orientation at k=7, K6 none at k=5, and K1 S^T S = 0I
+    # with no arcs; there is no catalogue of k-regular members for k = 0 or
+    # k >= 5
+    for g, k, found in ((complete_graph(8), 7, True), (complete_graph(6), 5, False),
+                        (Graph(1), 0, True)):
         (record,) = census([g], k).records
         assert record.has_optimum == found
         assert record.classification is None and not record.violation
-        assert theorem_crosscheck(g, k) == record
+        assert theorem_crosscheck(g) == record
 
 
 def test_census_skips_bad_inputs():
@@ -536,12 +538,16 @@ def test_census_skips_bad_inputs():
     assert len(report.records) == 1
     reasons = [reason for _, reason in report.skipped]
     assert reasons == ["not 4-regular", "not connected", "empty graph"]
-    # classify and search reject each with the reason the census records
-    for g, reason in zip(inputs, reasons):
+    # classify and search reject the disconnected and the empty input with
+    # the reason the census records
+    for g, reason in zip(inputs[1:3], reasons[1:]):
         for decide in (classify, find_optimum_orientation):
             with pytest.raises(ValueError) as info:
-                decide(g, 4)
+                decide(g)
             assert reason in str(info.value), (decide.__name__, reason)
+    # K4, skipped at k = 4, is answered at its own degree
+    assert classify(inputs[0]).label == K4
+    assert find_optimum_orientation(inputs[0]) is not None
 
 
 def test_census_workers_validation_and_determinism():
