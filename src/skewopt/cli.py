@@ -6,14 +6,15 @@ positional argument; census reads a graph6 corpus named the same way or
 enumerates up to --max-n, exactly one of the two. Only census takes --k; the
 rest use the input's largest degree, and classify answers on a connected
 regular graph of a catalogued degree (1..4).
-Exit codes: 0 success, 1 negative answer under --strict, 2 unreadable or
-malformed input, 3 invalid arguments (an empty graph, an arc list above
-ARCLIST_ORDER_LIMIT vertices, a generate label of order GRAPH6_ORDER_LIMIT
-or more, or graph6 output whose body would exceed GRAPH6_BODY_LIMIT bytes,
-among them). A graph6 body takes n(n-1)/12 bytes and is held whole, in a
-few copies, while it is written, so generate refuses a label whose body
-would pass 16 MiB (n above about 14,000; hj(65533), just under the graph6
-order limit, would need about 5.7 GB) before it builds anything.
+Exit codes: 0 success, 1 negative answer under --strict (for census, a
+violation or no graph checked at all), 2 unreadable or malformed input,
+3 invalid arguments (an empty graph, an arc list above ARCLIST_ORDER_LIMIT
+vertices, a generate label of order GRAPH6_ORDER_LIMIT or more, or graph6
+output whose body would exceed GRAPH6_BODY_LIMIT bytes, among them). A
+graph6 body takes n(n-1)/12 bytes and is held whole, in a few copies, while
+it is written, so generate refuses a label whose body would pass 16 MiB (n
+above about 14,000; hj(65533), just under the graph6 order limit, would need
+about 5.7 GB) before it builds anything.
 Reports are JSON with a fixed key order and floats printed to 12 significant
 digits, so identical runs produce byte-identical output.
 """
@@ -178,7 +179,7 @@ def _cmd_generate(args) -> int:
         # orient_family raises unless the Gram is exactly kI
         report["gram_is_kI"] = True
         report.update(_spectral_fields(og))
-        report["classification"] = str(label) if label.regularity == 4 else None
+        report["classification"] = str(label)
         report["arcs"] = og.arcs
         _write(args, _json_bytes(report))
         return 0
@@ -187,7 +188,7 @@ def _cmd_generate(args) -> int:
         _write(args, emit_graph6(g) + b"\n")
         return 0
     report = _graph_report(g)
-    report["classification"] = str(label) if label.regularity == 4 else None
+    report["classification"] = str(label)
     report["edges"] = g.edges
     _write(args, _json_bytes(report))
     return 0
@@ -271,7 +272,8 @@ def _cmd_census(args) -> int:
         "violations": [r.graph6 for r in report.violations],
     }
     _write(args, _json_bytes(payload))
-    return 1 if args.strict and report.violations else 0
+    # a census that checked no graph answers nothing
+    return 1 if args.strict and (report.violations or not report.records) else 0
 
 
 def run(argv) -> int:

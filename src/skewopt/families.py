@@ -180,7 +180,7 @@ def family_order(label: FamilyLabel) -> int:
     return _FIXED[label.kind][0]
 
 
-def candidate_members(n: int, k: int = 4) -> list[FamilyLabel]:
+def candidate_members(n: int, k: int) -> list[FamilyLabel]:
     """All k-regular family labels whose member has exactly n vertices:
     the fixed members in table order, then gi, then hj."""
     if k not in CATALOGUED_DEGREES:

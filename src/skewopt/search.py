@@ -1,13 +1,15 @@
 """Optimum-orientation search by GF(2) elimination, and the small-order census.
 
-Switching at a vertex set conjugates the skew matrix by a diagonal sign
-matrix and preserves the Gram, so the arcs of a breadth-first spanning tree
-are fixed and each of the 2^(m-n+1) assignments of the remaining edges names
-one switching class. With edge signs written (-1)**bit, every off-diagonal
-Gram entry (u, v) is a sum of +-1 terms, one per common neighbour, each the
-parity of two direction bits plus a constant. The parity filter rejects odd
-term counts first; an entry with 2c terms vanishes exactly when they split c
-and c, so their parity is one linear equation over GF(2), and for c >= 2 the
+S^T S = kI asks every off-diagonal Gram entry (u, v), the sum of
+S[w, u] * S[w, v] over the common neighbours w, to vanish. Switching at a
+vertex set conjugates S by a diagonal sign matrix and preserves the Gram, so
+the arcs of a breadth-first spanning tree are fixed and each of the
+2^(m-n+1) assignments of the remaining edges names one switching class. The
+search writes each S[w, u] as (-1)**v, v the value of a GF(2) form over the
+free edges' direction bits plus a constant, so a Gram term is (-1) to the
+sum of the forms of its two entries. The parity filter rejects odd term
+counts first; an entry with 2c terms vanishes exactly when they split c and
+c, so their parity is one linear equation over GF(2), and for c >= 2 the
 split is also counted. Elimination over Python-int bitsets solves the
 equations; a descent over the remaining free bits, highest first, checks the
 counts and returns the smallest assignment, the same witness as trying the
@@ -35,56 +37,43 @@ from .verify import neighbor_parity_report
 ENUMERATION_ORDER_CAP = 12
 
 
-def _class_arcs(tree_arcs, free, assignment: int) -> tuple[tuple[int, int], ...]:
-    """The tree arcs plus one arc per free edge: bit i of the assignment
-    reverses free edge i, which otherwise runs from smaller to larger end."""
-    return tree_arcs + tuple(
-        (a, b) if not (assignment >> i) & 1 else (b, a) for i, (a, b) in enumerate(free)
-    )
-
-
-def _switching_frame(g: Graph):
-    # breadth-first tree from vertex 0, children in ascending order
-    tree_arcs = []
-    seen = {0} if g.n else set()
+def _least_orientation(g: Graph) -> tuple[tuple[int, int], ...] | None:
+    """The arcs of the switching class with the smallest assignment that
+    makes every off-diagonal Gram entry vanish, or None. The graph must be
+    connected, and every vertex pair must have an even number of common
+    neighbours, as the parity filter checks."""
+    # A form is an int over the free edges' direction bits (bit i is free
+    # edge i) plus a constant bit `one`; its value is the parity of the bits
+    # it selects from the assignment with `one` set. sign[w][u] is the form
+    # whose value v gives S[w, u] = (-1)**v. A connected graph has
+    # m - n + 1 edges off its spanning tree.
+    f = len(g.edges) - g.n + 1
+    one = 1 << f
+    variables = one - 1
+    sign: list[dict[int, int]] = [{} for _ in range(g.n)]
+    # breadth-first tree from vertex 0, children in ascending order, its arcs
+    # parent -> child; a free edge (a, b) runs a -> b unless its bit is set
+    seen = {0}
     queue = deque(seen)
     while queue:
         p = queue.popleft()
         for c in g.around[p]:
             if c not in seen:
                 seen.add(c)
-                tree_arcs.append((p, c))
+                sign[p][c], sign[c][p] = 0, one
                 queue.append(c)
-    tree_edges = {(min(a, b), max(a, b)) for a, b in tree_arcs}
-    free = tuple(e for e in g.edges if e not in tree_edges)
-    return tuple(tree_arcs), free
+    free = [(a, b) for a, b in g.edges if b not in sign[a]]
+    for i, (a, b) in enumerate(free):
+        sign[a][b], sign[b][a] = 1 << i, 1 << i | one
 
-
-def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
-    """Smallest assignment of the free edges that makes every off-diagonal
-    Gram entry vanish, or None. Every vertex pair must have an even number
-    of common neighbours, as the parity filter checks."""
-    # A form is an int over the free edges' direction bits (bit i is free
-    # edge i) plus a constant bit `one`; its value is the parity of the bits
-    # it selects from the assignment with `one` set.
-    f = len(free)
-    one = 1 << f
-    variables = one - 1
-    # direction bit of each edge: 1 when its arc runs from the larger
-    # endpoint to the smaller, so that the edge's sign is (-1)**bit
-    direction = {e: 1 << i for i, e in enumerate(free)}
-    for p, c in tree_arcs:
-        direction[(min(p, c), max(p, c))] = one if p > c else 0
-
-    # (S^T S)[u, v] sums S[w, u] * S[w, v] over the common neighbours w;
-    # each product is (-1)**(value of the term's form)
+    # each Gram term S[w, u] * S[w, v] is (-1)**(value of its form)
     terms: dict[tuple[int, int], list[int]] = {}
     for w in range(g.n):
+        row = sign[w]
         around = g.around[w]
         for i, u in enumerate(around):
             for v in around[i + 1:]:
-                t = direction[(min(w, u), max(w, u))] ^ direction[(min(w, v), max(w, v))]
-                terms.setdefault((u, v), []).append(t ^ (one if (w < u) != (w < v) else 0))
+                terms.setdefault((u, v), []).append(row[u] ^ row[v])
 
     # echelon basis keyed by each row's lowest variable bit (its pivot);
     # a row holds no other bits below its pivot
@@ -172,12 +161,15 @@ def _least_assignment(g: Graph, tree_arcs, free) -> int | None:
     for pivot in sorted(basis, reverse=True):
         if (basis[pivot] & x).bit_count() & 1:
             x |= pivot
-    return x & variables
+    return tuple((a, b) if not (sign[a][b] & x).bit_count() & 1 else (b, a)
+                 for a, b in g.edges)
 
 
 def find_optimum_orientation(g: Graph):
-    """The switching-class representative with the smallest assignment whose
-    Gram is exactly k*I, k the largest degree, or None.
+    """An orientation whose skew matrix S has S^T S = kI exactly, k the
+    largest degree, or None. Of the switching classes that qualify it takes
+    the one with the smallest assignment of the edges off the breadth-first
+    tree, in the representative with S[p, c] = +1 on every tree arc p -> c.
 
     Empty, irregular or disconnected inputs are argument errors; graphs
     failing the common-neighborhood parity filter return None without
@@ -190,11 +182,10 @@ def find_optimum_orientation(g: Graph):
     if not neighbor_parity_report(g).passed:
         return None
 
-    tree_arcs, free = _switching_frame(g)
-    assignment = _least_assignment(g, tree_arcs, free)
-    if assignment is None:
+    arcs = _least_orientation(g)
+    if arcs is None:
         return None
-    og = OrientedGraph(g, _class_arcs(tree_arcs, free, assignment))
+    og = OrientedGraph(g, arcs)
     if not is_optimum(og, k):
         raise RuntimeError("GF(2) elimination disagrees with the Gram matrix")
     return og

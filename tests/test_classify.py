@@ -100,16 +100,16 @@ def test_certificate_is_adjacency_preserving():
 
 
 def test_candidate_members_by_order():
-    assert candidate_members(6) == [G2]
-    assert candidate_members(7) == []
-    assert candidate_members(8) == [G1, hj(1)]
-    assert candidate_members(10) == [gi(1)]
-    assert candidate_members(12) == [hj(2)]
-    assert candidate_members(14) == [G3, gi(2)]
-    assert candidate_members(16) == [Q4, hj(3)]
-    assert candidate_members(5) == []
+    assert candidate_members(6, 4) == [G2]
+    assert candidate_members(7, 4) == []
+    assert candidate_members(8, 4) == [G1, hj(1)]
+    assert candidate_members(10, 4) == [gi(1)]
+    assert candidate_members(12, 4) == [hj(2)]
+    assert candidate_members(14, 4) == [G3, gi(2)]
+    assert candidate_members(16, 4) == [Q4, hj(3)]
+    assert candidate_members(5, 4) == []
     for n in range(6, 40):
-        labels = candidate_members(n)
+        labels = candidate_members(n, 4)
         assert len(labels) == len(set(labels))
         for label in labels:
             assert build_family(label).n == n

@@ -74,6 +74,21 @@ def test_generate_json_payloads(capsysbinary):
     assert len(report["arcs"]) == 16
 
 
+def test_generate_json_reports_the_label_classify_prints(tmp_path, capsysbinary):
+    # a generated graph is its label's member at every catalogued degree
+    for label in ("g1", "g2", "g3", "q4", "k2", "c4", "k4", "q3", "gi(1)", "hj(1)"):
+        g6 = tmp_path / "member.g6"
+        assert run(["generate", "--family", label, "--output", str(g6)]) == 0
+        code, report, _ = run_json(["classify", str(g6)], capsysbinary)
+        assert code == 0 and report["classification"] == label
+        for extra in ([], ["--oriented"]):
+            code, report, _ = run_json(
+                ["generate", "--family", label, *extra, "--format", "json"],
+                capsysbinary)
+            assert code == 0
+            assert report["classification"] == label, (label, extra)
+
+
 def test_verify_member(tmp_path, capsysbinary):
     path = tmp_path / "g1.arcs"
     path.write_bytes(emit_arclist(orient_family(G1)))
@@ -456,6 +471,25 @@ def test_census_from_file(tmp_path, capsysbinary):
     assert code == 0
     assert [r["classification"] for r in report["records"]] == ["g2", "g1"]
     assert report["skipped"] == [["A_", "not 4-regular"]]
+
+
+def test_census_strict_fails_when_no_graph_was_checked(tmp_path, capsysbinary):
+    # an empty or blank corpus, a corpus of skipped graphs and an order too
+    # small for any quartic graph check nothing, which is no "yes"
+    empty = tmp_path / "empty.g6"
+    empty.write_bytes(b"")
+    blank = tmp_path / "blank.g6"
+    blank.write_bytes(b"\n \n\t\n")
+    skipped = tmp_path / "skipped.g6"
+    skipped.write_bytes(emit_graph6(Graph(2, [(0, 1)])) + b"\n"
+                        + emit_graph6(build_family(K4)) + b"\n")
+    for argv, skips in (([str(empty)], 0), ([str(blank)], 0), ([str(skipped)], 2),
+                        (["--max-n", "4", "--k", "4"], 0)):
+        code, report, plain = run_json(["census", *argv], capsysbinary)
+        assert code == 0, argv
+        assert (len(report["records"]), len(report["skipped"])) == (0, skips), argv
+        assert run(["census", *argv, "--strict"]) == 1, argv
+        assert capsysbinary.readouterr().out == plain
 
 
 def test_census_argument_validation(tmp_path):

@@ -19,14 +19,12 @@ from oracles import (
 )
 from skewopt import (
     C4, G2, K4, Graph, OrientedGraph, build_family, candidate_members, census,
-    classify, emit_graph6, find_optimum_orientation, gi, hj, is_optimum,
-    isomorphic, neighbor_parity_report, orient_family, parse_graph6,
-    theorem_crosscheck,
+    classify, emit_arclist, emit_graph6, find_optimum_orientation, gi, hj,
+    is_optimum, isomorphic, neighbor_parity_report, orient_family,
+    parse_graph6, theorem_crosscheck,
 )
 from skewopt.cli import run
-from skewopt.search import (
-    ENUMERATION_ORDER_CAP, _class_arcs, enumerate_connected_k_regular,
-)
+from skewopt.search import ENUMERATION_ORDER_CAP, enumerate_connected_k_regular
 
 
 def complete_graph(n: int) -> Graph:
@@ -112,11 +110,6 @@ def test_switching_classes_reject_disconnected():
         list(switching_classes(Graph(4, [(0, 1), (2, 3)])))
 
 
-def test_switching_index_arcs():
-    arcs = _class_arcs(((0, 1), (0, 3)), ((1, 2), (2, 3)), 2)
-    assert arcs == ((0, 1), (0, 3), (1, 2), (3, 2))
-
-
 def test_switching_classes_are_complete_and_distinct():
     # every orientation reaches exactly one representative by switching
     for g in (cycle_graph(4), complete_graph(4)):
@@ -189,6 +182,27 @@ def test_witness_is_first_optimum_class():
         assert (None if found is None else found.arcs) == expected, emit_graph6(g)
         optima += expected is not None
     assert optima == 13
+
+
+def test_witnesses_are_pinned():
+    # sha256 of each graph's graph6 line followed by its witness arc list, or
+    # "-" when it has none: every census class of these orders, then every
+    # catalogue member of order <= 60
+    graphs = [g for k, top in ((1, 10), (2, 10), (3, 12), (4, 10), (5, 10), (6, 10))
+              for n in range(1, top + 1)
+              for g in enumerate_connected_k_regular(n, k)]
+    graphs += [build_family(label) for n in range(1, 61) for k in range(1, 5)
+               for label in candidate_members(n, k)]
+    digest = hashlib.sha256()
+    witnesses = 0
+    for g in graphs:
+        found = find_optimum_orientation(g)
+        digest.update(emit_graph6(g) + b"\n")
+        digest.update(b"-\n" if found is None else emit_arclist(found))
+        witnesses += found is not None
+    assert (len(graphs), witnesses) == (332, 45)
+    assert digest.hexdigest() == (
+        "1cbaf93c0f259df73311720ee0ca9041b4973e42afa6b51d46e5b484c9dea270")
 
 
 def test_complete_bipartite_optimum_iff_hadamard_order():
