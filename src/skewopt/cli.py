@@ -8,13 +8,13 @@ rest use the input's largest degree, and classify answers on a connected
 regular graph of a catalogued degree (1..4).
 Exit codes: 0 success, 1 negative answer under --strict (for census, a
 violation or no graph checked at all), 2 unreadable or malformed input,
-3 invalid arguments (an empty graph, an arc list above ARCLIST_ORDER_LIMIT
-vertices, a generate label of order GRAPH6_ORDER_LIMIT or more, or graph6
-output whose body would exceed GRAPH6_BODY_LIMIT bytes, among them). A
-graph6 body takes n(n-1)/12 bytes and is held whole, in a few copies, while
-it is written, so generate refuses a label whose body would pass 16 MiB (n
-above about 14,000; hj(65533), just under the graph6 order limit, would need
-about 5.7 GB) before it builds anything.
+3 invalid arguments (an empty graph, an arc list above the order limit of
+formats.parse_arclist, a generate label of order GRAPH6_ORDER_LIMIT or
+more, or graph6 output whose body would exceed GRAPH6_BODY_LIMIT bytes,
+among them). A graph6 body takes n(n-1)/12 bytes and is held whole, in a
+few copies, while it is written, so generate refuses a label whose body
+would pass 16 MiB (n above about 14,000; hj(65533), just under the graph6
+order limit, would need about 5.7 GB) before it builds anything.
 Reports are JSON with a fixed key order and floats printed to 12 significant
 digits, so identical runs produce byte-identical output.
 """
@@ -30,8 +30,8 @@ from .families import (
     CATALOGUED_DEGREES, FamilyLabel, build_family, family_order, orient_family,
 )
 from .formats import (
-    GRAPH6_ORDER_LIMIT, FormatError, emit_arclist, emit_graph6, parse_arclist,
-    parse_graph6_lines,
+    ARCLIST_ORDER_LIMIT, GRAPH6_ORDER_LIMIT, FormatError, emit_arclist, emit_graph6,
+    parse_arclist, parse_graph6_lines,
 )
 from .graphs import Graph, OrientedGraph
 from .matrices import is_optimum, skew_energy
@@ -41,10 +41,6 @@ from .search import (
 )
 from .verify import neighbor_parity_report
 
-# verify, energy and generate --oriented --format json build dense n x n
-# matrices (numpy's SVD of S takes about 1.6 s at n = 2000 and 14 s at
-# n = 4000), so larger inputs exit 3
-ARCLIST_ORDER_LIMIT = 2000
 # graph6 output is held whole (see the module docstring)
 GRAPH6_BODY_LIMIT = 1 << 24
 
@@ -195,7 +191,7 @@ def _cmd_generate(args) -> int:
 
 
 def _oriented_input(args) -> OrientedGraph:
-    og = parse_arclist(_read(args.path), ARCLIST_ORDER_LIMIT)
+    og = parse_arclist(_read(args.path))
     if og.base.n == 0:
         # every statement about the Gram of an empty graph holds vacuously
         raise ValueError("input graph is empty")
@@ -205,7 +201,7 @@ def _oriented_input(args) -> OrientedGraph:
 def _cmd_verify(args) -> int:
     og = _oriented_input(args)
     report = _graph_report(og.base)
-    report["gram_is_kI"] = is_optimum(og, report["k"])
+    report["gram_is_kI"] = is_optimum(og)
     report.update(_spectral_fields(og))
     report.update(_classification_field(og.base))
     report["violations"] = neighbor_parity_report(og.base).violations
@@ -220,7 +216,7 @@ def _cmd_energy(args) -> int:
     report.update(_spectral_fields(og))
     _write(args, _json_bytes(report))
     # E = n*sqrt(k) exactly when S^T S = kI; with no arcs both are 0
-    return 1 if args.strict and not is_optimum(og, report["k"]) else 0
+    return 1 if args.strict and not is_optimum(og) else 0
 
 
 def _cmd_search(args) -> int:

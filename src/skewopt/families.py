@@ -270,6 +270,6 @@ def orient_family(label: FamilyLabel) -> OrientedGraph:
     """The canonical optimum orientation; the Gram is re-checked exactly."""
     n, arcs = _member(label)
     og = OrientedGraph(Graph(n, arcs), arcs)
-    if not is_optimum(og, label.regularity):
+    if not is_optimum(og):
         raise RuntimeError(f"constructed orientation of {label} failed the Gram check")
     return og

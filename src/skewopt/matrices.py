@@ -1,12 +1,12 @@
 """Skew-adjacency matrices, the exact Gram test, and the spectral figures
 computed by LAPACK.
 
-Matrices are numpy int64 arrays; `is_optimum` decides S^T S = kI in exact
-integer arithmetic from the arcs.  Floats appear only in energy reporting:
-the energy and the Gram spectrum come from one SVD of S.  numpy is imported
-by the two functions that build S, so the commands that build no matrix
-(`generate` to graph6 or arcs, `classify`, `census`, and a `search` that
-finds no orientation) never load it.
+Matrices are numpy int64 arrays; `is_optimum` decides S^T S = kI, k the
+largest degree, in exact integer arithmetic from the arcs alone.  Floats
+appear only in energy reporting: the energy and the Gram spectrum come from
+one SVD of S.  numpy is imported by the two functions that build S, so the
+commands that build no matrix (`generate` to graph6 or arcs, `classify`,
+`census`, and a `search` that finds no orientation) never load it.
 """
 
 from __future__ import annotations
@@ -33,24 +33,22 @@ def skew_adjacency(og: OrientedGraph) -> np.ndarray:
     return m
 
 
-def is_optimum(og: OrientedGraph, k: int) -> bool:
-    """True iff the Gram of the skew-adjacency matrix equals k*I exactly.
+def is_optimum(og: OrientedGraph) -> bool:
+    """True iff S^T S = kI exactly for the skew matrix S, k the largest degree.
 
-    Decided from the arcs in O(n k^2) integer steps, without forming S: the
-    diagonal entry (u, u) of S^T S is the degree of u, and the off-diagonal
-    entry (u, v) sums S[w, u] * S[w, v] over the common neighbours w.  At
-    k = 0 this holds exactly when there are no arcs.  An empty graph is an
-    argument error, as every statement about its Gram holds vacuously.
+    Decided from the arcs in O(n k^2) integer steps, without forming S: entry
+    (u, u) of S^T S is the degree of u, so an irregular orientation fails,
+    and entry (u, v) sums S[w, u] * S[w, v] over the common neighbours w.
+    With no arcs S^T S = 0I; an empty graph is an argument error, as every
+    statement about its Gram holds vacuously.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     if og.base.n == 0:
         raise ValueError("cannot judge an empty graph")
     rows: list[dict[int, int]] = [{} for _ in range(og.base.n)]
     for t, h in og.arcs:
         rows[t][h] = 1
         rows[h][t] = -1
-    if any(len(row) != k for row in rows):
+    if any(len(row) != len(rows[0]) for row in rows):
         return False
     entries: dict[tuple[int, int], int] = {}
     for row in rows:
@@ -69,7 +67,7 @@ class SpectralSummary:
     +-i*sigma for its singular values sigma, and the eigenvalues of S^T S are
     sigma**2. The energy (sum of absolute values of the eigenvalues of S)
     is therefore sum(sigma). It reaches upper_bound exactly when S^T S is
-    (max degree) * I, which `is_optimum` decides.
+    (max degree) * I, which `is_optimum(og)` decides from the arcs alone.
     """
 
     gram_eigenvalues: tuple[float, ...]

@@ -186,7 +186,7 @@ def find_optimum_orientation(g: Graph):
     if arcs is None:
         return None
     og = OrientedGraph(g, arcs)
-    if not is_optimum(og, k):
+    if not is_optimum(og):
         raise RuntimeError("GF(2) elimination disagrees with the Gram matrix")
     return og
 

@@ -9,12 +9,13 @@ a first-touch relabeler that tries every root and every order of every fresh
 block instead of the enumerator's cuts, a pair-by-pair common-neighbour count
 instead of adjacency bitsets, signed walks counted one by one instead of
 matrix products, relabeling and switching written out on the edge and arc
-lists, a switching-class enumerator with its own breadth-first frame, the
-named-vertex recursion for the ladder families gi/hj instead of the paper's
-block matrices, and numpy products for the paper's block identities, checked
-on blocks read off the package's own matrices. Only public names of skewopt
-are imported, and no single-underscore attribute is read, as test_oracles
-checks.
+lists, a switching-class enumerator with its own breadth-first frame, a
+row-by-row fill of the skew matrix with orthogonality checks instead of
+elimination over GF(2), the named-vertex recursion for the ladder families
+gi/hj instead of the paper's block matrices, and numpy products for the
+paper's block identities, checked on blocks read off the package's own
+matrices. Only public names of skewopt are imported, and no single-underscore
+attribute is read, as test_oracles checks.
 """
 
 from __future__ import annotations
@@ -640,6 +641,49 @@ def switching_classes(g):
         yield OrientedGraph(g, tree + [
             (b, a) if assignment >> i & 1 else (a, b) for i, (a, b) in enumerate(free)
         ])
+
+
+# ---------------------------------------------------------------------------
+# optimum orientations by filling S row by row, no elimination
+# ---------------------------------------------------------------------------
+
+
+def row_fill_optimum(g):
+    """An orientation of a regular graph whose skew matrix S has pairwise
+    orthogonal rows, so that S^T S = S S^T = kI, or None; S is filled row by
+    row instead of solved for.
+
+    Switching a vertex v negates row and column v, so the first cell of
+    column v from an earlier row, S[p, v] with p the least neighbour of v, is
+    fixed to +1 whenever p < v. Row u takes every sign pattern on its other
+    cells right of the diagonal (those left of it follow from the earlier
+    rows), and each completed row must be orthogonal to every earlier one."""
+    nbrs = [sorted(a) for a in g.around]
+    if len({len(a) for a in nbrs}) > 1:
+        return None
+    s = [{} for _ in range(g.n)]
+
+    def fill(u: int) -> bool:
+        if u == g.n:
+            return True
+        later = [v for v in nbrs[u] if v > u]
+        free = [v for v in later if nbrs[v][0] != u]
+        for pattern in range(1 << len(free)):
+            for v in later:
+                s[u][v] = 1
+            for i, v in enumerate(free):
+                if pattern >> i & 1:
+                    s[u][v] = -1
+            for v in later:
+                s[v][u] = -s[u][v]
+            if all(sum(a * s[w].get(x, 0) for x, a in s[u].items()) == 0
+                   for w in range(u)) and fill(u + 1):
+                return True
+        return False
+
+    if not fill(0):
+        return None
+    return OrientedGraph(g, [(u, v) if s[u][v] == 1 else (v, u) for u, v in g.edges])
 
 
 # ---------------------------------------------------------------------------

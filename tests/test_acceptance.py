@@ -58,7 +58,7 @@ def random_orientation(g: Graph, rng: random.Random) -> OrientedGraph:
 def spoiled_orientation(g: Graph, rng: random.Random) -> OrientedGraph:
     for _ in range(100):
         og = random_orientation(g, rng)
-        if not is_optimum(og, 4):
+        if not is_optimum(og):
             return og
     raise AssertionError("random orientations kept attaining the bound")
 
@@ -163,16 +163,16 @@ def test_walk_balance_matches_gram_condition():
     for label in members:
         assert build_family(label).n <= 22
         og = orient_family(label)
-        assert two_walk_balanced(og) == is_optimum(og, label.regularity)
+        assert two_walk_balanced(og) == is_optimum(og)
         assert walk_identity_holds(og, 4)
     rng = random.Random(41)
-    pool = [(g, 2) for n in range(4, 9) for g in enumerate_connected_k_regular(n, 2)]
-    pool += [(g, 3) for n in (4, 6, 8) for g in enumerate_connected_k_regular(n, 3)]
-    pool += [(g, 4) for n in range(5, 9) for g in enumerate_connected_k_regular(n, 4)]
+    pool = [g for n in range(4, 9) for g in enumerate_connected_k_regular(n, 2)]
+    pool += [g for n in (4, 6, 8) for g in enumerate_connected_k_regular(n, 3)]
+    pool += [g for n in range(5, 9) for g in enumerate_connected_k_regular(n, 4)]
     for _ in range(50):
-        g, k = rng.choice(pool)
+        g = rng.choice(pool)
         og = random_orientation(g, rng)
-        assert two_walk_balanced(og) == is_optimum(og, k)
+        assert two_walk_balanced(og) == is_optimum(og)
         assert walk_identity_holds(og, 4)
 
 
@@ -183,19 +183,19 @@ def test_invariance_suite():
     orientations = [orient_family(lb) for lb in members]
     orientations += [spoiled_orientation(build_family(lb), rng) for lb in (G1, G2)]
     for og in orientations:
-        expected = is_optimum(og, 4)
+        expected = is_optimum(og)
         for _ in range(50):
             n = og.base.n
             switched = switch(og, [v for v in range(n) if rng.random() < 0.5])
-            assert is_optimum(switched, 4) == expected
+            assert is_optimum(switched) == expected
 
     pairs = [(orient_family(a), orient_family(b))
              for a, b in zip(members, reversed(members))]
     for a, _ in pairs[:6]:
         pairs.append((a, spoiled_orientation(build_family(rng.choice(members)), rng)))
     for a, b in pairs[:20]:
-        both = is_optimum(a, 4) and is_optimum(b, 4)
-        assert is_optimum(disjoint_union(a, b), 4) == both
+        both = is_optimum(a) and is_optimum(b)
+        assert is_optimum(disjoint_union(a, b)) == both
 
     labels = [G1, G2, G3, Q4, gi(1), gi(2), gi(3), hj(1), hj(2), hj(3)]
     for _ in range(50):

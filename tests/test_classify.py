@@ -153,6 +153,7 @@ def test_isomorphic_finds_self_relabelings():
         mapping = isomorphic(g, h)
         assert mapping is not None
         assert is_isomorphism(g, h, mapping)
+    assert isomorphic(Graph(0), Graph(0)) == ()
 
 
 def test_isomorphic_rejects_structural_lookalikes():

@@ -87,6 +87,8 @@ def test_label_parse_and_format():
         FamilyLabel("g1", 2)
     with pytest.raises(ValueError):
         FamilyLabel("gi")
+    with pytest.raises(ValueError):
+        FamilyLabel("zz")
 
 
 def test_label_parameter_is_an_integer():
@@ -214,7 +216,8 @@ def test_orientation_base_matches_build():
 def test_every_orientation_is_optimum():
     for label in (G1, G2, G3, Q4, K2, C4, K4, Q3,
                   gi(1), gi(2), gi(5), hj(1), hj(2), hj(5)):
-        assert is_optimum(orient_family(label), label.regularity), str(label)
+        og = orient_family(label)
+        assert og.base.is_regular(label.regularity) and is_optimum(og), str(label)
 
 
 def member_blocks():

@@ -12,6 +12,7 @@ from skewopt import (
     emit_arclist, emit_graph6, gi, hj, orient_family, parse_arclist,
     parse_graph6, parse_graph6_lines,
 )
+from skewopt.formats import ARCLIST_ORDER_LIMIT, GRAPH6_ORDER_LIMIT
 from skewopt.search import enumerate_connected_k_regular
 
 
@@ -70,6 +71,8 @@ def test_graph6_long_order_field():
     blob = emit_graph6(g)
     assert blob.startswith(b"~")
     assert parse_graph6(blob) == g
+    with pytest.raises(FormatError, match="not supported"):
+        emit_graph6(Graph(GRAPH6_ORDER_LIMIT))
 
 
 def test_graph6_rejects_malformed_records():
@@ -81,7 +84,6 @@ def test_graph6_rejects_malformed_records():
         b"A" + bytes([32]),  # byte out of range, low side
         b"AW",               # nonzero padding for n=2
         b"~??@",             # non-canonical long form for a small order
-        b"~~",               # unsupported huge order prefix
         b"~?",               # truncated long order field
         b"A_\r\r",           # a record ends in at most one LF, after one CR
         b"A_\n\n",
@@ -90,6 +92,9 @@ def test_graph6_rejects_malformed_records():
     for blob in cases:
         with pytest.raises(FormatError):
             parse_graph6(blob)
+    # the 8-byte order field of orders >= 2**18
+    with pytest.raises(FormatError, match="not supported"):
+        parse_graph6(b"~~??")
 
 
 def test_graph6_lines_reports_position():
@@ -157,6 +162,17 @@ def test_arclist_rejects_malformed_records():
     for blob in cases:
         with pytest.raises(FormatError):
             parse_arclist(blob)
+
+
+def test_arclist_order_limit_binds_every_caller():
+    # checked from the header, before one neighbour list is allocated
+    assert parse_arclist(f"{ARCLIST_ORDER_LIMIT} 0\n").base.n == 2000
+    start = time.perf_counter()
+    for order in (ARCLIST_ORDER_LIMIT + 1, 10**12):
+        with pytest.raises(ValueError, match="at most 2000") as info:
+            parse_arclist(f"{order} 0\n".encode("ascii"))
+        assert not isinstance(info.value, FormatError)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parsers_reject_non_ascii_and_loose_integers():

@@ -223,7 +223,7 @@ def test_disjoint_union_empty_identity():
 def test_disjoint_union_of_two_optimum_members():
     u = disjoint_union(orient_family(G1), orient_family(G2))
     assert u.base.n == 14
-    assert is_optimum(u, 4)
+    assert is_optimum(u)
 
 
 def test_disjoint_union_preserves_regularity():

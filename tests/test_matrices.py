@@ -71,26 +71,23 @@ def test_power_g2_square():
 
 def test_is_optimum_examples():
     k2 = OrientedGraph(Graph(2, [(0, 1)]), [(0, 1)])
-    assert is_optimum(k2, 1)
-    assert not is_optimum(_clockwise_c4(), 2)
+    assert is_optimum(k2)
+    assert not is_optimum(_clockwise_c4())
     reversed_one = OrientedGraph(
         Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
         [(0, 1), (2, 1), (2, 3), (3, 0)],
     )
-    assert is_optimum(reversed_one, 2)
-    # S^T S = 0I exactly when there are no arcs
-    assert is_optimum(k2, 0) is False
-    assert is_optimum(OrientedGraph(Graph(3), []), 0) is True
-    with pytest.raises(ValueError):
-        is_optimum(k2, -1)
+    assert is_optimum(reversed_one)
+    # the Gram diagonal is the degree sequence: an irregular orientation
+    # fails, and with no arcs S^T S = 0I
+    assert is_optimum(OrientedGraph(Graph(3, [(0, 1)]), [(0, 1)])) is False
+    assert is_optimum(OrientedGraph(Graph(3), [])) is True
 
 
 def test_is_optimum_rejects_the_empty_graph():
     # every statement about the Gram of an empty graph holds vacuously
-    empty = OrientedGraph(Graph(0), [])
-    for k in range(5):
-        with pytest.raises(ValueError, match="empty graph"):
-            is_optimum(empty, k)
+    with pytest.raises(ValueError, match="empty graph"):
+        is_optimum(OrientedGraph(Graph(0), []))
 
 
 def test_is_optimum_matches_matrix_square():
@@ -109,7 +106,7 @@ def test_is_optimum_matches_matrix_square():
         n = og.base.n
         square = np.linalg.matrix_power(s, 2)
         via_square = np.array_equal(square, -4 * np.eye(n, dtype=np.int64))
-        assert is_optimum(og, 4) == via_square
+        assert is_optimum(og) == via_square
 
 
 def test_is_optimum_agrees_with_dense_gram():
@@ -137,21 +134,21 @@ def test_is_optimum_agrees_with_dense_gram():
     hits = 0
     for og in cases:
         s = skew_adjacency(og)
-        for k in range(1, 8):
-            dense = np.array_equal(s.T @ s, k * np.eye(og.base.n, dtype=np.int64))
-            assert is_optimum(og, k) == dense, (og.arcs, k)
-            hits += dense
-    assert hits >= 55  # every switched member
+        k = og.base.max_degree()
+        dense = np.array_equal(s.T @ s, k * np.eye(og.base.n, dtype=np.int64))
+        assert is_optimum(og) == dense, og.arcs
+        hits += dense
+    assert hits >= 61  # every switched member and every edgeless graph
 
 
 def test_is_optimum_at_two_thousand_vertices():
     og = orient_family(hj(499))
     assert og.base.n == 2000
     start = time.perf_counter()
-    assert is_optimum(og, 4)
+    assert is_optimum(og)
     arcs = list(og.arcs)
     arcs[0] = arcs[0][::-1]
-    assert not is_optimum(OrientedGraph(og.base, arcs), 4)
+    assert not is_optimum(OrientedGraph(og.base, arcs))
     assert time.perf_counter() - start < 1.0
 
 
@@ -167,7 +164,7 @@ def test_skew_energy_k2():
     summary = skew_energy(og)
     assert abs(summary.skew_energy - 2.0) < 1e-12
     assert abs(summary.upper_bound - 2.0) < 1e-12
-    assert is_optimum(og, 1)
+    assert is_optimum(og)
 
 
 def test_skew_energy_g1():
@@ -175,7 +172,7 @@ def test_skew_energy_g1():
     summary = skew_energy(og)
     assert abs(summary.skew_energy - 16.0) < 1e-8
     assert abs(summary.upper_bound - 16.0) < 1e-12
-    assert is_optimum(og, 4)
+    assert is_optimum(og)
 
 
 def test_skew_energy_directed_path():
@@ -183,16 +180,12 @@ def test_skew_energy_directed_path():
     summary = skew_energy(og)
     assert abs(summary.skew_energy - 2.0 * math.sqrt(2.0)) < 1e-10
     assert abs(summary.upper_bound - 3.0 * math.sqrt(2.0)) < 1e-12
-    assert not is_optimum(og, 2)
-
-
-def _exact_verdict(og: OrientedGraph) -> bool:
-    # E <= n*sqrt(d) with equality iff S^T S = dI (Adiga, Balakrishnan and
-    # So, 2010); with no arcs both sides are 0, and so is S^T S
-    return is_optimum(og, og.base.max_degree())
+    assert not is_optimum(og)
 
 
 def _float_verdict(og: OrientedGraph) -> bool:
+    # E <= n*sqrt(d) with equality iff S^T S = dI (Adiga, Balakrishnan and
+    # So, 2010), which is_optimum decides; with no arcs both sides are 0
     summary = skew_energy(og)
     return abs(summary.skew_energy - summary.upper_bound) <= 1e-8
 
@@ -200,19 +193,19 @@ def _float_verdict(og: OrientedGraph) -> bool:
 def test_exact_and_float_verdicts_agree():
     seen = {True: 0, False: 0}
     for og in small_orientations(4):
-        verdict = _exact_verdict(og)
+        verdict = is_optimum(og)
         assert verdict == _float_verdict(og), og.arcs
         seen[verdict] += 1
     assert seen[True] + seen[False] == 760 and seen[True] > 0 and seen[False] > 0
     # members, and each member with one arc reversed
     for label in (K2, C4, K4, Q3, G1, G2, G3, Q4, gi(1), hj(2)):
         og = orient_family(label)
-        assert _exact_verdict(og) and _float_verdict(og), label
+        assert is_optimum(og) and _float_verdict(og), label
         for i in range(len(og.arcs)):
             arcs = list(og.arcs)
             arcs[i] = arcs[i][::-1]
             flipped = OrientedGraph(og.base, arcs)
-            assert _exact_verdict(flipped) == _float_verdict(flipped), (label, i)
+            assert is_optimum(flipped) == _float_verdict(flipped), (label, i)
 
 
 def test_skew_energy_never_exceeds_bound():
@@ -250,9 +243,9 @@ def test_switch_preserves_optimum():
     rng = random.Random(71)
     og = orient_family(G1)
     non_opt = next(
-        o for o in switching_classes(build_family(G1)) if not is_optimum(o, 4)
+        o for o in switching_classes(build_family(G1)) if not is_optimum(o)
     )
     for _ in range(50):
         s = [v for v in range(8) if rng.random() < 0.5]
-        assert is_optimum(switch(og, s), 4)
-        assert not is_optimum(switch(non_opt, s), 4)
+        assert is_optimum(switch(og, s))
+        assert not is_optimum(switch(non_opt, s))

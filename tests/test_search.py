@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_has_optimum, connected_regular_class_count, first_touch_code,
-    relabel_oriented, smaller_first_touch_relabeling, switch, switching_classes,
-    switching_frame,
+    relabel_oriented, row_fill_optimum, smaller_first_touch_relabeling, switch,
+    switching_classes, switching_frame,
 )
 from skewopt import (
     C4, G2, K4, Graph, OrientedGraph, build_family, candidate_members, census,
@@ -158,7 +158,31 @@ def test_search_agrees_with_exhaustive_orientation_scan():
         found = find_optimum_orientation(g)
         assert (found is not None) == brute_force_has_optimum(g, k)
         if found is not None:
-            assert is_optimum(found, k)
+            assert is_optimum(found)
+
+
+def test_search_agrees_with_row_by_row_fill():
+    # CP(5), K10 minus a perfect matching, passes the parity filter and its
+    # GF(2) system is consistent: only the exhausted descent rejects it
+    cocktail_party = parse_graph6(b"I~~v]}~^w")
+    assert cocktail_party.is_regular(8) and len(cocktail_party.edges) == 40
+    assert neighbor_parity_report(cocktail_party).passed
+    assert row_fill_optimum(cocktail_party) is None
+    assert find_optimum_orientation(cocktail_party) is None
+    graphs = [g for k, top in ((1, 8), (2, 10), (3, 10), (4, 10), (5, 10), (6, 9))
+              for n in range(1, top + 1)
+              for g in enumerate_connected_k_regular(n, k)]
+    graphs += [Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+               for m in range(2, 7)]
+    graphs.append(cocktail_party)
+    found = 0
+    for g in graphs:
+        filled = row_fill_optimum(g)
+        assert (filled is None) == (find_optimum_orientation(g) is None), emit_graph6(g)
+        if filled is not None:
+            assert is_optimum(filled), emit_graph6(g)
+            found += 1
+    assert (len(graphs), found) == (197, 12)
 
 
 def test_witness_is_first_optimum_class():
@@ -176,7 +200,7 @@ def test_witness_is_first_optimum_class():
         expected = first_optimum_class(g, k)
         if len(switching_frame(g)[1]) <= 10:
             direct = next((og.arcs for og in switching_classes(g)
-                           if is_optimum(og, k)), None)
+                           if is_optimum(og)), None)
             assert direct == expected
         found = find_optimum_orientation(g)
         assert (None if found is None else found.arcs) == expected, emit_graph6(g)
@@ -215,10 +239,10 @@ def test_complete_bipartite_optimum_iff_hadamard_order():
         found = find_optimum_orientation(g)
         assert (found is not None) == (m in (1, 2) or m % 4 == 0), m
         if found is not None:
-            assert is_optimum(found, m), m
+            assert is_optimum(found), m
         if m <= 4:
             direct = next((og.arcs for og in switching_classes(g)
-                           if is_optimum(og, m)), None)
+                           if is_optimum(og)), None)
             assert (None if found is None else found.arcs) == direct, m
     assert time.perf_counter() - start < 1.0
 
@@ -228,7 +252,7 @@ def test_search_scales_polynomially():
     for i in (5, 10, 20, 40):
         for label in (gi(i), hj(i)):
             found = find_optimum_orientation(build_family(label))
-            assert found is not None and is_optimum(found, 4), label
+            assert found is not None and is_optimum(found), label
     assert time.perf_counter() - start < 3.0
 
 
@@ -241,10 +265,10 @@ def test_search_survives_relabeling_and_switching():
         rng.shuffle(perm)
         moved = switch(relabel_oriented(og, perm),
                        [v for v in range(n) if rng.random() < 0.5])
-        assert is_optimum(moved, 4)
+        assert is_optimum(moved)
         found = find_optimum_orientation(moved.base)
         assert found is not None and found.base == moved.base
-        assert is_optimum(found, 4)
+        assert is_optimum(found)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -256,10 +280,10 @@ def test_answers_survive_relabeling_and_switching_to_sixty(label, data):
     perm = data.draw(st.permutations(range(n)))
     moved = switch(relabel_oriented(og, perm),
                    data.draw(st.sets(st.integers(0, n - 1))))
-    assert is_optimum(moved, 4)
+    assert is_optimum(moved)
     g = moved.base
     found = find_optimum_orientation(g)
-    assert found is not None and found.base == g and is_optimum(found, 4)
+    assert found is not None and found.base == g and is_optimum(found)
     assert classify(g).label == label
     # a 2-switch, ab and cd to ac and bd, keeps the graph 4-regular
     (a, b), (c, d) = data.draw(
@@ -517,7 +541,7 @@ def test_census_of_four_regular_graphs_up_to_eight():
         assert r.has_optimum == (r.classification is not None)
         if r.has_optimum:
             g = parse_graph6(r.graph6.encode("ascii"))
-            assert is_optimum(OrientedGraph(g, r.witness), 4)
+            assert is_optimum(OrientedGraph(g, r.witness))
         else:
             assert r.witness is None
 

@@ -152,13 +152,10 @@ def test_two_walk_balanced_members_and_counterexamples():
 def test_two_walk_balance_matches_gram_condition():
     # walk-level balance and the exact matrix condition must never disagree
     rng = random.Random(11)
-    cases = []
-    for n in (5, 6, 7):
-        cases += [(g, 4) for g in enumerate_connected_k_regular(n, 4)]
-    cases += [(g, 3) for g in enumerate_connected_k_regular(6, 3)]
-    cases += [(Graph(n, [(i, (i + 1) % n) for i in range(n)]), 2)
-              for n in (4, 5, 6)]
-    for g, k in cases:
+    cases = [g for n in (5, 6, 7) for g in enumerate_connected_k_regular(n, 4)]
+    cases += enumerate_connected_k_regular(6, 3)
+    cases += [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 5, 6)]
+    for g in cases:
         for _ in range(8):
             og = random_orientation(g, rng)
-            assert two_walk_balanced(og) == is_optimum(og, k)
+            assert two_walk_balanced(og) == is_optimum(og)
