@@ -28,7 +28,6 @@ any isomorphism preserves just as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -36,8 +35,7 @@ from .families import FamilyLabel, build_family, candidate_members
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """label is None when the graph is outside the family; certificate maps
     input vertices onto build_family(label) when inside."""
 

@@ -11,7 +11,9 @@ violation or no graph checked at all), 2 unreadable or malformed input,
 3 invalid arguments (an empty graph, an arc list above the order limit of
 formats.parse_arclist, a generate label of order GRAPH6_ORDER_LIMIT or
 more, or graph6 output whose body would exceed GRAPH6_BODY_LIMIT bytes,
-among them). A graph6 body takes n(n-1)/12 bytes and is held whole, in a
+among them). generate --oriented, to arcs or JSON, refuses a label above
+that arc-list limit, whose output no reader would accept, before it builds
+anything. A graph6 body takes n(n-1)/12 bytes and is held whole, in a
 few copies, while it is written, so generate refuses a label whose body
 would pass 16 MiB (n above about 14,000; hj(65533), just under the graph6
 order limit, would need about 5.7 GB) before it builds anything.
@@ -161,10 +163,11 @@ def _cmd_generate(args) -> int:
         raise ValueError(
             f"{label} has {n} vertices; its graph6 body would pass {GRAPH6_BODY_LIMIT} bytes"
         )
-    # the JSON report's energy takes the SVD of the dense n x n matrix S
-    if args.oriented and fmt == "json" and n > ARCLIST_ORDER_LIMIT:
+    # the largest arc list the readers accept, and the JSON report's energy
+    # takes the SVD of the dense n x n matrix S
+    if args.oriented and n > ARCLIST_ORDER_LIMIT:
         raise ValueError(
-            f"{label} has {n} vertices; oriented JSON reports stop at {ARCLIST_ORDER_LIMIT}"
+            f"{label} has {n} vertices; oriented output stops at {ARCLIST_ORDER_LIMIT}"
         )
     if args.oriented:
         og = orient_family(label)
@@ -263,7 +266,7 @@ def _cmd_census(args) -> int:
         "k": args.k,
         "totals": report.totals(),
         # the record's fields are the report's keys, in order
-        "records": [vars(r) for r in report.records],
+        "records": [r._asdict() for r in report.records],
         "skipped": report.skipped,
         "violations": [r.graph6 for r in report.violations],
     }

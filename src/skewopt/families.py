@@ -24,8 +24,8 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import re
+from typing import NamedTuple
 
 from .graphs import Graph, OrientedGraph
 from .matrices import is_optimum
@@ -113,23 +113,38 @@ _PARAM_KINDS = ("gi", "hj")
 _LABEL_RE = re.compile(r"(gi|hj)(?:\((\d+)\)|(\d+))", re.ASCII)
 
 
-@dataclass(frozen=True, order=True)
-class FamilyLabel:
-    """Tagged identifier for a family member; gi/hj carry an index >= 1."""
+class _LabelFields(NamedTuple):
+    """The fields of FamilyLabel, which checks them."""
 
     kind: str
     param: int | None = None
 
-    def __post_init__(self):
-        if self.kind in _FIXED:
-            if self.param is not None:
-                raise ValueError(f"label {self.kind!r} takes no parameter")
-        elif self.kind in _PARAM_KINDS:
+
+class FamilyLabel(_LabelFields):
+    """Tagged identifier for a family member; gi/hj carry an index >= 1.
+
+    An immutable named tuple (kind, param), ordered and hashed as that
+    tuple; the fields are checked when the label is made.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, param: int | None = None):
+        if kind in _FIXED:
+            if param is not None:
+                raise ValueError(f"label {kind!r} takes no parameter")
+        elif kind in _PARAM_KINDS:
             # type, not isinstance: True is an int, and would print as hj(True)
-            if type(self.param) is not int or self.param < 1:
-                raise ValueError(f"label {self.kind!r} needs an integer parameter >= 1")
+            if type(param) is not int or param < 1:
+                raise ValueError(f"label {kind!r} needs an integer parameter >= 1")
         else:
-            raise ValueError(f"unknown family label kind {self.kind!r}")
+            raise ValueError(f"unknown family label kind {kind!r}")
+        return super().__new__(cls, kind, param)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def regularity(self) -> int:

@@ -12,8 +12,7 @@ commands that build no matrix (`generate` to graph6 or arcs, `classify`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import OrientedGraph
 
@@ -59,8 +58,7 @@ def is_optimum(og: OrientedGraph) -> bool:
     return not any(entries.values())
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     """Gram spectrum of an orientation plus the derived energy figures.
 
     S is real and skew-symmetric, hence normal, so its eigenvalues are

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .classify import _rounds, classify, match, match_plan
 from .families import CATALOGUED_DEGREES
 from .formats import emit_graph6
 from .graphs import Graph, OrientedGraph
 from .matrices import is_optimum
-from .verify import neighbor_parity_report
+from .verify import _odd_pairs
 
 ENUMERATION_ORDER_CAP = 12
 
@@ -179,7 +179,7 @@ def find_optimum_orientation(g: Graph):
     defect = g.defect(k)
     if defect is not None:
         raise ValueError(f"cannot search: {defect}")
-    if not neighbor_parity_report(g).passed:
+    if next(_odd_pairs(g), None) is not None:
         return None
 
     arcs = _least_orientation(g)
@@ -482,8 +482,7 @@ def enumerate_connected_k_regular(n: int, k: int):
         del complete
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     graph6: str
     n: int
     has_optimum: bool
@@ -492,8 +491,7 @@ class CensusRecord:
     violation: bool
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     records: tuple[CensusRecord, ...]
     skipped: tuple[tuple[str, str], ...]
 

@@ -2,22 +2,23 @@
 optimum orientation read off the underlying graph alone.
 
 S^T S = kI balances the signed 2-walks between any two vertices, so every
-pair has an even number of common neighbours. The report runs on the
-production path (the search prefilter and `skewopt verify`) and counts
-common neighbours with the graph's bitsets; `tests/oracles.py` checks it
-against a pair-by-pair count, and holds the signed-walk counters that check
-the Gram condition walk by walk.
+pair has an even number of common neighbours. One scan, `_odd_pairs`,
+serves the production path: `neighbor_parity_report` (for `skewopt verify`
+and a `search` that finds no orientation) collects every odd pair, and the
+search prefilter stops at the first. It counts common neighbours with the
+graph's bitsets; `tests/oracles.py` checks it against a pair-by-pair count,
+and holds the signed-walk counters that check the Gram condition walk by
+walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class NeighborhoodReport:
+class NeighborhoodReport(NamedTuple):
     """Pairs with an odd number of common neighbors.
 
     Each violation is (u, v, common_count, adjacent).
@@ -30,19 +31,12 @@ class NeighborhoodReport:
         return not self.violations
 
 
-def neighbor_parity_report(g: Graph) -> NeighborhoodReport:
-    """Every vertex pair with an odd number of common neighbors.
-
-    An optimum orientation balances the signed 2-walks between any two
-    vertices, so their count is even. In a simple 4-regular graph an adjacent
-    pair shares at most 3 neighbors and a non-adjacent pair at most 4, so
-    evenness is exactly the paper's k = 4 condition: counts 0 or 2 for
-    adjacent pairs, 0, 2 or 4 for non-adjacent ones.
-    """
+def _odd_pairs(g: Graph):
+    """Yield (u, v, common_count, adjacent) for every pair u < v with an odd
+    number of common neighbours, in increasing order."""
     # only pairs at distance two share a neighbour, and a count of 0 is even,
     # so each u scans the bits above it in its 2-ball
     adj = g.adj
-    violations = []
     for u, a in enumerate(adj):
         ball = 0
         for w in g.around[u]:
@@ -54,5 +48,16 @@ def neighbor_parity_report(g: Graph) -> NeighborhoodReport:
             v = u + low.bit_length()
             count = (a & adj[v]).bit_count()
             if count & 1:
-                violations.append((u, v, count, bool(a >> v & 1)))
-    return NeighborhoodReport(tuple(violations))
+                yield u, v, count, bool(a >> v & 1)
+
+
+def neighbor_parity_report(g: Graph) -> NeighborhoodReport:
+    """Every vertex pair with an odd number of common neighbors.
+
+    An optimum orientation balances the signed 2-walks between any two
+    vertices, so their count is even. In a simple 4-regular graph an adjacent
+    pair shares at most 3 neighbors and a non-adjacent pair at most 4, so
+    evenness is exactly the paper's k = 4 condition: counts 0 or 2 for
+    adjacent pairs, 0, 2 or 4 for non-adjacent ones.
+    """
+    return NeighborhoodReport(tuple(_odd_pairs(g)))

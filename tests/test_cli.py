@@ -17,7 +17,7 @@ import skewopt
 from oracles import relabel, small_orientations
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, Graph, OrientedGraph, build_family,
-    emit_arclist, emit_graph6, gi, hj, is_optimum, orient_family,
+    emit_arclist, emit_graph6, gi, hj, is_optimum, orient_family, parse_arclist,
 )
 from skewopt.cli import ARCLIST_ORDER_LIMIT, GRAPH6_BODY_LIMIT, run
 
@@ -35,10 +35,15 @@ def run_json(argv, capsysbinary):
 
 
 def test_generate_oriented_arcs(tmp_path):
-    out = tmp_path / "g2.arcs"
-    assert run(["generate", "--family", "g2", "--oriented",
-                "--output", str(out)]) == 0
-    assert out.read_bytes() == emit_arclist(orient_family(G2))
+    # gi(498), 1998 vertices, is the largest gi whose arc list the readers
+    # accept (ARCLIST_ORDER_LIMIT)
+    for label in (G2, gi(498)):
+        out = tmp_path / "member.arcs"
+        assert run(["generate", "--family", str(label), "--oriented",
+                    "--output", str(out)]) == 0
+        og = orient_family(label)
+        assert out.read_bytes() == emit_arclist(og)
+        assert parse_arclist(out.read_bytes()) == og
 
 
 def test_generate_then_classify(tmp_path, capsysbinary):
@@ -312,16 +317,23 @@ def test_any_argv_exits_with_a_documented_code(argv, a, b):
             os.chdir(cwd)
 
 
-def test_generate_oriented_json_above_the_arclist_limit_exits_three(capsysbinary):
+def test_generate_oriented_json_above_the_arclist_limit_exits_three(tmp_path, capsysbinary):
     # hj(500) has 2004 vertices; the JSON energy would take the SVD of a
-    # dense 2004 x 2004 matrix, so the order is checked before building
-    start = time.perf_counter()
-    assert run(["generate", "--family", "hj(500)", "--oriented",
-                "--format", "json"]) == 3
-    assert time.perf_counter() - start < 0.5
-    captured = capsysbinary.readouterr()
-    assert captured.out == b""
-    assert str(ARCLIST_ORDER_LIMIT).encode("ascii") in captured.err
+    # dense 2004 x 2004 matrix, and gi(499) (2002 vertices) would be an arc
+    # list that verify, energy and parse_arclist refuse, so the order is
+    # checked before building and nothing is written
+    out = tmp_path / "big"
+    for argv in (["--family", "hj(500)", "--format", "json"],
+                 ["--family", "gi(499)"],
+                 ["--family", "gi(499)", "--format", "arcs"]):
+        start = time.perf_counter()
+        assert run(["generate", "--oriented", *argv]) == 3, argv
+        assert time.perf_counter() - start < 0.5, argv
+        captured = capsysbinary.readouterr()
+        assert captured.out == b"", argv
+        assert str(ARCLIST_ORDER_LIMIT).encode("ascii") in captured.err, argv
+        assert run(["generate", "--oriented", *argv, "--output", str(out)]) == 3, argv
+        assert not out.exists(), argv
 
 
 # run in a fresh interpreter, so that its peak RSS is this generate's alone
@@ -349,20 +361,20 @@ def _child_env() -> dict:
 
 
 def test_generate_large_member_builds_no_bitsets():
-    # hj(16383) has 65536 vertices. Arc lists and the JSON report read only
-    # the edges and arcs; bitsets for it would take about n^2/15 = 286 MB.
-    # On x86-64 Linux with Python 3.11 the peak is about 90-125 MB, and
-    # 380-410 MB if Graph builds its bitsets with its edges
-    env = _child_env()
-    for extra in (["--oriented"], ["--format", "json"]):
-        done = subprocess.run(
-            [sys.executable, "-c", _TIMED_GENERATE, "--family", "hj(16383)", *extra],
-            env=env, capture_output=True, check=True, timeout=60,
-        )
-        code, seconds, peak_kib = done.stdout.split()
-        assert int(code) == 0, extra
-        assert float(seconds) < 10.0, extra
-        assert int(peak_kib) < 250 * 1024, extra
+    # hj(16383) has 65536 vertices. The JSON report reads only the edges;
+    # bitsets for it would take about n^2/15 = 286 MB. On x86-64 Linux with
+    # Python 3.11 the peak is about 90-125 MB, and 380-410 MB if Graph
+    # builds its bitsets with its edges (oriented output stops at
+    # ARCLIST_ORDER_LIMIT vertices)
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_GENERATE, "--family", "hj(16383)",
+         "--format", "json"],
+        env=_child_env(), capture_output=True, check=True, timeout=60,
+    )
+    code, seconds, peak_kib = done.stdout.split()
+    assert int(code) == 0
+    assert float(seconds) < 10.0
+    assert int(peak_kib) < 250 * 1024
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -402,6 +414,27 @@ def test_arclist_orders_above_the_limit_exit_three(tmp_path, capsysbinary):
             captured = capsysbinary.readouterr()
             assert captured.out == b""
             assert str(ARCLIST_ORDER_LIMIT).encode("ascii") in captured.err
+
+
+def test_search_without_a_witness_runs_one_parity_report(tmp_path, monkeypatch, capsysbinary):
+    # the search prefilter stops at K5's first odd pair; only the report's
+    # violations take a full scan
+    original = sys.modules["skewopt.verify"].neighbor_parity_report
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "skewopt" or name.startswith("skewopt.")) and (
+                getattr(module, "neighbor_parity_report", None) is original):
+            monkeypatch.setattr(module, "neighbor_parity_report", counted)
+    k5_path = write_graph6(tmp_path, "k5.g6", Graph(5, list(combinations(range(5), 2))))
+    code, report, _ = run_json(["search", k5_path], capsysbinary)
+    assert code == 0
+    assert report["optimum_orientation"] is None and report["violations"]
+    assert calls == [5]
 
 
 def test_report_bytes_are_pinned(tmp_path, capsysbinary):

@@ -89,6 +89,12 @@ def test_label_parse_and_format():
         FamilyLabel("gi")
     with pytest.raises(ValueError):
         FamilyLabel("zz")
+    # a named tuple's _make and _replace check the fields too
+    assert gi(3)._replace(param=4) == gi(4) == FamilyLabel._make(("gi", 4))
+    with pytest.raises(ValueError):
+        G2._replace(param=3)
+    with pytest.raises(ValueError):
+        FamilyLabel._make(("gi", 0))
 
 
 def test_label_parameter_is_an_integer():
