@@ -10,20 +10,20 @@ k >= 5.
 
 The isomorphism engine reads a graph's `adj` (one int bitset per vertex) and
 `around` (sorted neighbour tuples), built once by `Graph`; the enumerator in
-`search` passes growing lists of the same shape. Colour refinement splits
-the vertices from local invariants, and two graphs are rejected at the first
-refinement round whose signature lists differ. Otherwise an iterative
-matcher maps the vertices breadth-first from a vertex of the rarest colour,
-drawing each vertex's candidates from the neighbours of its parent's image
-(the refinement-then-matching scheme of McKay and Piperno, "Practical graph
-isomorphism II", 2014, without individualization). One side of every test is
-a certificate: the signature lists of all its refinement rounds and the
-match plan over its stable colours. A member's certificate is computed once
-per label and cached, so classification refines only the input graph;
+`search` passes growing lists of the same shape. One invariant colouring,
+then the matcher: each vertex is coloured by local invariants, and two
+graphs are rejected when their sorted signature lists differ. Otherwise an
+iterative matcher maps the vertices breadth-first from a vertex of the
+rarest colour, drawing each vertex's candidates from the neighbours of its
+parent's image (the matcher of McKay and Piperno, "Practical graph
+isomorphism II", 2014, without refinement rounds or individualization: the
+catalogue members tested all colour uniformly, so refinement splits
+nothing). One side of every test is a certificate: the signature list and
+the match plan over its colours. A member's certificate is computed once per
+label and cached, so classification colours only the input graph;
 `isomorphic(g, h)` is the same routine with h's certificate built on the
-spot. The enumerator's state check in `search` keys and matches its small
-completions and partial graphs on the first round's colours alone, which
-any isomorphism preserves just as well.
+spot, and the enumerator's state check in `search` keys and matches its
+small completions and partial graphs on the same colouring.
 """
 
 from __future__ import annotations
@@ -52,15 +52,15 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _rounds(adj: Sequence[int], around: Sequence[Sequence[int]]):
-    """Colour refinement of a graph given as bitsets and neighbour lists:
-    yield each round's colours and sorted signature list, up to the first
-    round that splits no colour class.
+def _colouring(adj: Sequence[int], around: Sequence[Sequence[int]]):
+    """The invariant colouring of a graph given as bitsets and neighbour
+    lists: the colour of each vertex, and the sorted signature list.
 
-    A vertex starts from (degree, sorted common-neighbour counts with its
-    neighbours, size of its closed 2-ball); each round's signature is (colour,
-    sorted neighbour colours), and a colour is the rank of its signature, so
-    equal signature lists give the same colours in both graphs.
+    A vertex's signature is (degree, sorted common-neighbour counts with its
+    neighbours, size of its closed 2-ball), which an isomorphism carries
+    over, and its colour is the rank of its signature in the sorted list;
+    so equal signature lists give the same colours in both graphs, and every
+    isomorphism between them preserves the colours.
     """
     sigs = []
     for v, a in enumerate(adj):
@@ -71,17 +71,9 @@ def _rounds(adj: Sequence[int], around: Sequence[Sequence[int]]):
             shared.append((a & adj[w]).bit_count())
         shared.sort()
         sigs.append((len(shared), tuple(shared), ball.bit_count()))
-    classes = 0
-    while True:
-        ordered = sorted(sigs)
-        rank = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
-        colours = [rank[s] for s in sigs]
-        yield colours, ordered
-        if len(rank) == classes:
-            return
-        classes = len(rank)
-        sigs = [(colours[v], tuple(sorted([colours[w] for w in nbrs])))
-                for v, nbrs in enumerate(around)]
+    ordered = sorted(sigs)
+    rank = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+    return [rank[s] for s in sigs], ordered
 
 
 def match_plan(adj: Sequence[int], colours: list[int]):
@@ -175,46 +167,34 @@ def match(plan, adj: Sequence[int], colours: list[int]):
     return None
 
 
-class _Certificate(NamedTuple):
-    """What matching a graph onto g needs of g: the signature list of every
-    refinement round, and the `match_plan` over its stable colours (which
-    carries g's adjacency)."""
-
-    signatures: tuple[list, ...]
-    plan: tuple
+def _certificate(g: Graph) -> tuple[list, tuple]:
+    """What matching a graph onto g needs of g: its signature list, and the
+    `match_plan` over its colours (which carries g's adjacency)."""
+    colours, signatures = _colouring(g.adj, g.around)
+    return signatures, match_plan(g.adj, colours)
 
 
-def _certificate(g: Graph) -> _Certificate:
-    signatures = []
-    for colours, ordered in _rounds(g.adj, g.around):
-        signatures.append(ordered)
-    return _Certificate(tuple(signatures), match_plan(g.adj, colours))
-
-
-# a member refines in one or two rounds, so its certificate is about the size
-# of its graph; the bound keeps a long run over many orders from holding all
+# a certificate is about the size of its graph; the bound keeps a long run
+# over many orders from holding all
 @lru_cache(maxsize=64)
-def _member_certificate(label: FamilyLabel) -> _Certificate:
+def _member_certificate(label: FamilyLabel) -> tuple[list, tuple]:
     return _certificate(build_family(label))
 
 
-def _onto(g: Graph, cert: _Certificate):
+def _onto(g: Graph, cert: tuple[list, tuple]):
     """An adjacency-preserving bijection from g onto the certified graph, as
     a tuple, or None.
 
-    g is refined in step with the certificate's signature lists and rejected
-    at the first round that differs; the first round's list already differs
-    when the orders or the degree sequences do. Equal lists give equal colour counts,
-    so both refinements stop at the same round, and a colour is the rank of
-    its signature in a list the two graphs share; so every isomorphism
-    preserves the stable colours and `match` finds one from the planned
-    graph onto g, which is inverted.
+    g is rejected when its signature list differs from the certificate's,
+    as it does when the orders or the degree sequences differ. Equal lists
+    give colours that every isomorphism preserves, so `match` finds one from
+    the planned graph onto g when there is one, and it is inverted.
     """
-    rounds = _rounds(g.adj, g.around)
-    for signatures, (colours, ordered) in zip(cert.signatures, rounds):
-        if ordered != signatures:
-            return None
-    found = match(cert.plan, g.adj, colours)
+    signatures, plan = cert
+    colours, ordered = _colouring(g.adj, g.around)
+    if ordered != signatures:
+        return None
+    found = match(plan, g.adj, colours)
     if found is None:
         return None
     mapping = [0] * g.n
@@ -227,7 +207,7 @@ def isomorphic(g: Graph, h: Graph):
     """An adjacency-preserving bijection g -> h as a tuple, or None; the
     classifier's routine with h's certificate built on the spot."""
     if g.n != h.n or len(g.edges) != len(h.edges):
-        return None  # before h is refined for nothing
+        return None  # before h is coloured for nothing
     return _onto(g, _certificate(h))
 
 

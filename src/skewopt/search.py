@@ -17,7 +17,7 @@ assignments in increasing order. Search and classifier both read k off
 the graph, as its largest degree: S^T S has the degrees on its diagonal, so
 it can be kI at no other k. The census pairs the two and flags any graph
 where they disagree; its built-in enumerator rejects isomorphic search
-states with the classifier's first refinement round and matcher.
+states with the classifier's colouring and matcher.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from typing import NamedTuple
 
-from .classify import _rounds, classify, match, match_plan
+from .classify import _colouring, classify, match, match_plan
 from .families import CATALOGUED_DEGREES
 from .formats import emit_graph6
 from .graphs import Graph, OrientedGraph
@@ -219,18 +219,16 @@ def enumerate_connected_k_regular(n: int, k: int):
     isomorphic ones the node met first has the smaller code prefix, the
     later node holds no first completion, and it is cut. At v = n this is
     the deduplication of completions, and the first completion of each class
-    is yielded. A state is bucketed by the signature list of the first
-    refinement round only (the degrees keep completions, partial states and
+    is yielded. A state is bucketed by the signature list of the
+    classifier's colouring (the degrees keep completions, partial states and
     untouched counts apart) and matched, under those colours, against the
-    states kept in its bucket. A vertex's colour is the rank of its
-    signature, which an isomorphism carries over, in the sorted signature
-    list, which the two states share; so every isomorphism between two
-    states of a bucket preserves the colours and `match` finds it. A kept
-    state holds its adjacency and colours, and its match plan is built when
-    a later state first lands in its bucket. Of the layers tried at k = 3..6
-    and n = 9..12, that d was the fastest or within 2 % of it: at a
-    shallower layer few states are rejected, and at a deeper one more states
-    are checked than the cut saves.
+    states kept in its bucket; every isomorphism between two states of a
+    bucket preserves the colours, so `match` finds it. A kept state holds
+    its adjacency and colours, and its match plan is built when a later
+    state first lands in its bucket. Of the layers tried at k = 3..6 and
+    n = 9..12, that d was the fastest or within 2 % of it: at a shallower
+    layer few states are rejected, and at a deeper one more states are
+    checked than the cut saves.
 
     Twin prune: when vertex v picks neighbours among the touched vertices
     after it, those with the same neighbours so far are twins, and a subset
@@ -299,14 +297,13 @@ def enumerate_connected_k_regular(n: int, k: int):
     f = 0 is tried.
 
     The twin prune, the root-edge and vertex-2 cuts and the state check
-    remove no first completion of a class, the sealed and degree cuts no
-    connected completion at all, and a first-round bucket rejects exactly
-    the states that full refinement would, so the yielded graphs, their
-    labels and their order are those of the unpruned search. The cuts are
-    tested in the child loop, before a child node is entered, the state
-    check last. The search state lives in closures, and the recursive one
-    refers to itself; that cycle is broken when the generator ends or is
-    closed, so reference counting frees the state then.
+    remove no first completion of a class, and the sealed and degree cuts no
+    connected completion at all, so the yielded graphs, their labels and
+    their order are those of the unpruned search. The cuts are tested in the
+    child loop, before a child node is entered, the state check last. The
+    search state lives in closures, and the recursive one refers to itself;
+    that cycle is broken when the generator ends or is closed, so reference
+    counting frees the state then.
     """
     if n < 1 or k < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
@@ -323,7 +320,7 @@ def enumerate_connected_k_regular(n: int, k: int):
     deficit = [k] * n
     adj = [0] * n
     around: list[list[int]] = [[] for _ in range(n)]
-    # first-round signature list -> [adjacency, colours, match plan or None]
+    # signature list -> [adjacency, colours, match plan or None]
     # of the states kept with it; a plan is built when a later state lands
     # in the bucket
     buckets: dict[tuple, list] = {}
@@ -350,7 +347,7 @@ def enumerate_connected_k_regular(n: int, k: int):
     def novel() -> bool:
         # the state check: True, and the graph so far kept, unless it is
         # isomorphic to a state kept before
-        colours, signatures = next(_rounds(adj, around))
+        colours, signatures = _colouring(adj, around)
         kept = buckets.setdefault(tuple(signatures), [])
         for entry in kept:
             if entry[2] is None:

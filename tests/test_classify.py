@@ -13,7 +13,7 @@ from oracles import is_isomorphism, relabel
 from skewopt import (
     C4, G1, G2, G3, K2, K4, Q3, Q4, FamilyLabel, Graph, build_family,
     candidate_members, classify, enumerate_connected_k_regular, family_order,
-    gi, hj, isomorphic, theorem_crosscheck,
+    gi, hj, isomorphic, parse_graph6, theorem_crosscheck,
 )
 
 classify_module = importlib.import_module("skewopt.classify")
@@ -213,6 +213,38 @@ def test_near_misses_are_rejected_in_bounded_time():
                 rejected += 1
     assert rejected >= 160
     assert elapsed < 5.0
+
+
+def signatures(g: Graph) -> list:
+    return classify_module._colouring(g.adj, g.around)[1]
+
+
+def test_members_colour_uniformly():
+    # the matcher works on one colouring with no refinement rounds, which
+    # could split no colour class of a one-colour graph; a member that
+    # colours unevenly is named here, since classify may backtrack more on it
+    labels = [G1, G2, G3, Q4, K2, C4, K4, Q3] + [
+        f(i) for f in (gi, hj) for i in range(1, 41)]
+    uneven = [label for label in labels
+              if len(set(signatures(build_family(label)))) != 1]
+    assert uneven == []
+
+
+@pytest.mark.parametrize("text, label", [
+    # seeded 2-switches of g3 and hj(2), both connected
+    ("Ms`aaOoI?o?r@[?y?", G3),
+    ("K]q@`gKBAD_]", hj(2)),
+])
+def test_matcher_alone_rejects_lookalikes(text, label):
+    h = parse_graph6(text.encode("ascii"))
+    member = build_family(label)
+    assert h.defect(4) is None
+    assert label in candidate_members(h.n, 4)
+    # the colouring cannot tell them apart, so the rejection is the matcher's
+    assert signatures(h) == signatures(member)
+    assert classify(h).label is None
+    assert isomorphic(member, h) is None
+    assert not nx.is_isomorphic(nx.Graph(member.edges), nx.Graph(h.edges))
 
 
 def test_classify_rejects_bad_inputs():

@@ -50,7 +50,7 @@ def test_import_check_flags_internals():
         ("import skewopt.search as s", "skewopt.search"),
         ("from skewopt.search import census", "skewopt.search"),
         ("from skewopt import search", "search"),
-        ("from skewopt import _rounds", "_rounds"),
+        ("from skewopt import _colouring", "_colouring"),
         ("from skewopt import Graph, gram", "gram"),
         ("def f():\n    from skewopt import *", "*"),
     ):
